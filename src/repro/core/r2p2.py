@@ -43,7 +43,7 @@ from repro.fabric.packets import (
 )
 from repro.mem.system import ChipMemorySystem, InvalidationCause
 from repro.objstore.layout import is_locked
-from repro.sim.engine import Simulator, block_mode
+from repro.sim.engine import Simulator
 from repro.sim.resources import BandwidthServer
 from repro.sim.stats import Counter
 
@@ -54,7 +54,7 @@ SendPacket = Callable[[Packet], None]
 class R2P2Engine:
     """One LightSABRes-enhanced R2P2 backend."""
 
-    __slots__ = ("sim", "cfg", "chip", "node_id", "index", "tile", "send_packet", "lock_table", "counters", "mode", "att", "_pending_registrations", "_pending_requests", "_cycle", "_block_cost", "issue_server", "reply_server", "_version_offset", "_batched", "_att_lookup", "_issue_service", "_reply_service", "_phys")
+    __slots__ = ("sim", "cfg", "chip", "node_id", "index", "tile", "send_packet", "lock_table", "counters", "mode", "att", "_pending_registrations", "_pending_requests", "_cycle", "_block_cost", "issue_server", "reply_server", "_version_offset", "_att_lookup", "_issue_service", "_reply_service", "_phys")
 
     def __init__(
         self,
@@ -95,7 +95,6 @@ class R2P2Engine:
         self.issue_server = BandwidthServer(sim, 1.0, f"r2p2[{index}].issue")
         self.reply_server = BandwidthServer(sim, 1.0, f"r2p2[{index}].reply")
         self._version_offset = 0  # driver-registered header offset (§4.2)
-        self._batched = block_mode() == "batched"
         self._att_lookup = self.att.lookup_fast
         self._phys = chip.phys
         # Per-block service times are loop invariants of the whole run:
@@ -260,20 +259,15 @@ class R2P2Engine:
     def _pump(self, entry: AttEntry) -> None:
         """Issue loads while conditions hold.
 
-        The batched kernel precomputes the whole issue run's timestamps
-        from the (private, serial) issue server in one pass and injects
-        them with one ``schedule_batch`` call; ``_may_issue`` stays the
-        single authority over issue eligibility and stall accounting, so
-        both block modes see the exact same decision sequence."""
+        The whole issue run's timestamps come from the (private, serial)
+        issue server in one pass and land with one ``schedule_batch``
+        call; ``_may_issue`` stays the single authority over issue
+        eligibility and stall accounting."""
         if entry.aborted or entry.finished:
             return
         total = entry.total_blocks
         req = entry.req_counter
         limit = total if total < req else req
-        if not self._batched:
-            while entry.issue_count < limit and self._may_issue(entry):
-                self._issue(entry, entry.issue_count)
-            return
         offset = entry.issue_count
         if offset >= limit or not self._may_issue(entry):
             return
@@ -285,8 +279,8 @@ class R2P2Engine:
         service = self._issue_service
 
         # First block inline — the common case is a single issue per
-        # arriving request packet, which must stay as cheap as the
-        # stepwise path it replaces.
+        # arriving request packet, which must stay as cheap as one
+        # call_at.
         addr = entry.base_addr + offset * CACHE_BLOCK
         entry.issue_count = offset + 1
         if (spec or mode is SabreMode.NO_SPECULATION) and (
@@ -366,27 +360,6 @@ class R2P2Engine:
             self.counters.add("page_boundary_stalls")
             return False
         return True
-
-    def _issue(self, entry: AttEntry, offset: int) -> None:
-        addr = entry.base_addr + offset * CACHE_BLOCK
-        entry.issue_count += 1
-        mode = self.mode
-        if mode is SabreMode.SPECULATIVE or mode is SabreMode.NO_SPECULATION:
-            subscribe = (
-                mode is SabreMode.SPECULATIVE and entry.speculative
-            ) or offset == 0
-            if subscribe:
-                self.chip.subscribe(addr, entry.snoop_cb)
-                entry.subscribed_blocks.append(addr)
-        if mode is SabreMode.SPECULATIVE and entry.speculative:
-            # can_issue + mark_issued inlined (offset is never negative).
-            sb = entry.stream_buffer
-            if sb._base_block is not None and offset < sb._tracked:
-                sb._issued_bits |= 1 << offset
-        t_issue = self.issue_server.request(self._block_cost)
-        self.sim.call_at(
-            t_issue, self._start_read, entry, addr, offset, entry.epoch
-        )
 
     def _start_read(
         self, entry: AttEntry, addr: int, offset: int, epoch: int
@@ -534,11 +507,7 @@ class R2P2Engine:
         first = entry.issue_count
         if first >= limit:
             return
-        if not self._batched:
-            for offset in range(first, limit):
-                self._reply_data(entry, offset, junk=True)
-            return
-        # Batched: one pass over the junk run, one schedule_batch.
+        # One pass over the junk run, one schedule_batch.
         sim = self.sim
         now = sim._now
         server = self.reply_server

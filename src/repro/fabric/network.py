@@ -357,9 +357,7 @@ class Fabric:
         # extra method dispatch is measurable at fleet event rates.
         # Degradation costs one flag test while the fabric is healthy;
         # the multipliers apply at *send-fire time*, so a window that
-        # opens mid-transfer slows exactly the packets sent inside it —
-        # identically in batched and stepwise block modes, which both
-        # route every packet through here at the same timestamps.
+        # opens mid-transfer slows exactly the packets sent inside it.
         link, deliver, server, header, floor = route
         if self._faulty:
             eff = self._degraded.get(key)

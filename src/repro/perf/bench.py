@@ -39,10 +39,6 @@ from repro.sim import engine as engine_mod
 #: Default artifact path, relative to the repo root / current directory.
 DEFAULT_ARTIFACT = "BENCH_perf.json"
 
-#: Env var selecting the scheduler implementation (the engine's own
-#: constant, re-exported for the CLI and tests).
-SCHEDULER_ENV = engine_mod.SCHEDULER_ENV
-
 
 @contextmanager
 def _tracked_simulators() -> Iterator[List[Any]]:
@@ -54,23 +50,6 @@ def _tracked_simulators() -> Iterator[List[Any]]:
         yield sims
     finally:
         engine_mod.TRACKED_SIMULATORS = prev
-
-
-@contextmanager
-def _scheduler(engine: Optional[str]) -> Iterator[None]:
-    """Pin the scheduler implementation for the duration of a bench."""
-    if engine is None:
-        yield
-        return
-    prev = os.environ.get(SCHEDULER_ENV)
-    os.environ[SCHEDULER_ENV] = engine
-    try:
-        yield
-    finally:
-        if prev is None:
-            os.environ.pop(SCHEDULER_ENV, None)
-        else:
-            os.environ[SCHEDULER_ENV] = prev
 
 
 @dataclass
@@ -167,7 +146,6 @@ def run_scenario(
     fn: Optional[ScenarioFn] = None,
     scale: float = 1.0,
     repeats: int = 2,
-    engine: Optional[str] = None,
 ) -> ScenarioTiming:
     """Run one scenario ``repeats`` times; keep the fastest repeat."""
     if fn is None:
@@ -181,29 +159,28 @@ def run_scenario(
     if repeats < 1:
         raise ConfigError(f"repeats must be >= 1, got {repeats}")
     best: Optional[ScenarioTiming] = None
-    with _scheduler(engine):
-        for _ in range(repeats):
-            with _tracked_simulators() as sims:
-                t0 = time.perf_counter()
-                counters = dict(fn(scale))
-                wall = time.perf_counter() - t0
-            scheduled = sum(s.events_scheduled for s in sims)
-            fired = sum(s.events_fired for s in sims)
-            cancelled = sum(s.events_cancelled for s in sims)
-            sim_ns = float(counters.pop("sim_ns", 0.0))
-            ops = float(counters.pop("ops", 0.0))
-            timing = ScenarioTiming(
-                name=name,
-                wall_s=wall,
-                events_scheduled=scheduled,
-                events_fired=fired,
-                sim_ns=sim_ns,
-                ops=ops,
-                events_cancelled=cancelled,
-                extras=counters,
-            )
-            if best is None or timing.wall_s < best.wall_s:
-                best = timing
+    for _ in range(repeats):
+        with _tracked_simulators() as sims:
+            t0 = time.perf_counter()
+            counters = dict(fn(scale))
+            wall = time.perf_counter() - t0
+        scheduled = sum(s.events_scheduled for s in sims)
+        fired = sum(s.events_fired for s in sims)
+        cancelled = sum(s.events_cancelled for s in sims)
+        sim_ns = float(counters.pop("sim_ns", 0.0))
+        ops = float(counters.pop("ops", 0.0))
+        timing = ScenarioTiming(
+            name=name,
+            wall_s=wall,
+            events_scheduled=scheduled,
+            events_fired=fired,
+            sim_ns=sim_ns,
+            ops=ops,
+            events_cancelled=cancelled,
+            extras=counters,
+        )
+        if best is None or timing.wall_s < best.wall_s:
+            best = timing
     assert best is not None
     return best
 
@@ -215,7 +192,6 @@ class BenchResult:
     scenarios: Dict[str, ScenarioTiming]
     scale: float
     repeats: int
-    engine: str
     elapsed_s: float
     reference: Optional[Dict[str, Any]] = None
 
@@ -225,7 +201,9 @@ class BenchResult:
             "version": 1,
             "scale": self.scale,
             "repeats": self.repeats,
-            "engine": self.engine,
+            # The simulator has one scheduler; the field stays so older
+            # BENCH files and their readers keep the same shape.
+            "engine": "calendar",
             "elapsed_s": round(self.elapsed_s, 3),
             "python": sys.version.split()[0],
             "platform": platform.platform(),
@@ -270,11 +248,11 @@ def _speedups(
     return speedups
 
 
-def _scenario_key(name: str, scale: float, repeats: int, engine: str) -> str:
+def _scenario_key(name: str, scale: float, repeats: int) -> str:
     """Journal key for one scenario measurement configuration."""
     import hashlib
 
-    canon = repr(("repro-perf", 1, name, scale, repeats, engine))
+    canon = repr(("repro-perf", 1, name, scale, repeats))
     return hashlib.sha256(canon.encode()).hexdigest()
 
 
@@ -282,7 +260,6 @@ def run_suite(
     names: Optional[Sequence[str]] = None,
     scale: float = 1.0,
     repeats: int = 2,
-    engine: Optional[str] = None,
     reference_path: Optional[str] = None,
     journal: Optional[Any] = None,
 ) -> BenchResult:
@@ -301,24 +278,20 @@ def run_suite(
     them; delete the journal to force re-measurement.
     """
     chosen = list(names) if names else list(SCENARIOS)
-    effective = engine or os.environ.get(SCHEDULER_ENV, "calendar")
     start = time.perf_counter()
     timings: Dict[str, ScenarioTiming] = {}
     for name in chosen:
         key = None
         if journal is not None:
-            key = _scenario_key(name, scale, repeats, effective)
+            key = _scenario_key(name, scale, repeats)
             cached = journal.get(key)
             if cached is not None:
                 timings[name] = ScenarioTiming.from_json_dict(name, cached)
                 continue
-        timings[name] = run_scenario(
-            name, scale=scale, repeats=repeats, engine=engine
-        )
+        timings[name] = run_scenario(name, scale=scale, repeats=repeats)
         if journal is not None and key is not None:
             journal.record(key, timings[name].to_json_dict(), stage=name)
     elapsed = time.perf_counter() - start
-    effective_engine = effective
     reference = None
     if reference_path:
         with open(reference_path) as fh:
@@ -332,7 +305,6 @@ def run_suite(
         scenarios=timings,
         scale=scale,
         repeats=repeats,
-        engine=effective_engine,
         elapsed_s=elapsed,
         reference=reference,
     )

@@ -90,12 +90,6 @@ def _build_parser() -> argparse.ArgumentParser:
         ),
     )
     run_p.add_argument(
-        "--engine",
-        choices=("calendar", "heap"),
-        default=None,
-        help="pin the scheduler implementation (default: env/default)",
-    )
-    run_p.add_argument(
         "--json-out",
         default=DEFAULT_ARTIFACT,
         help=f"artifact path (default: {DEFAULT_ARTIFACT})",
@@ -183,7 +177,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             names=args.scenarios or None,
             scale=args.scale,
             repeats=args.repeats,
-            engine=args.engine,
             reference_path=args.reference,
             journal=journal,
         )

@@ -14,11 +14,16 @@ One-sided scenarios are asymmetric:
   from a 100 % regression, and for a long time this gate shrugged it
   off as "missing" and reported PASS.  Deleting a scenario for real
   means deleting its baseline entry in the same change.
+
+A NaN or infinite value on either side FAILS too: every comparison
+with NaN is false, so without this rule a NaN current value would
+pass as ``ok``.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional
 
@@ -54,6 +59,14 @@ class ScenarioDelta:
         the scenario — the silently-stopped-benchmark case."""
         return self.baseline is not None and self.current is None
 
+    @property
+    def non_finite(self) -> bool:
+        """A NaN or infinite value on either side: no verdict exists."""
+        return any(
+            v is not None and not math.isfinite(v)
+            for v in (self.baseline, self.current)
+        )
+
     def regressed(self, threshold: float) -> bool:
         ratio = self.ratio
         return ratio is not None and ratio < 1.0 - threshold
@@ -75,8 +88,13 @@ class CompareResult:
         return [d for d in self.deltas if d.vanished]
 
     @property
+    def non_finite(self) -> List[ScenarioDelta]:
+        """Scenarios with a NaN or infinite value on either side."""
+        return [d for d in self.deltas if d.non_finite]
+
+    @property
     def ok(self) -> bool:
-        return not self.regressions and not self.vanished
+        return not (self.regressions or self.vanished or self.non_finite)
 
     def report(self) -> str:
         lines = [
@@ -88,6 +106,12 @@ class CompareResult:
                 lines.append(
                     f"  {d.name:<24} VANISHED (baseline "
                     f"{d.baseline:.1f}, no current measurement)"
+                )
+                continue
+            if d.non_finite:
+                lines.append(
+                    f"  {d.name:<24} NON-FINITE (baseline {d.baseline}, "
+                    f"current {d.current})"
                 )
                 continue
             if d.ratio is None:

@@ -1,28 +1,20 @@
 """Event loop, events, and generator-based processes.
 
-Two interchangeable schedulers back the loop:
+One **calendar scheduler** backs the loop.  It exploits the near-future
+event pattern of RPC and transfer completions: zero-delay callbacks
+(event dispatch, process starts) ride a FIFO *immediate lane* with no
+ordering work at all, short delays land in a sorted *near window*, and
+everything past the adaptive horizon sits unsorted in a *far bucket*
+that is batch-sorted into the near window when the horizon advances.
 
-* The default **calendar scheduler** exploits the near-future event
-  pattern of RPC and transfer completions: zero-delay callbacks (event
-  dispatch, process starts) ride a FIFO *immediate lane* with no
-  ordering work at all, short delays land in a sorted *near window*,
-  and everything past the adaptive horizon sits unsorted in a *far
-  bucket* that is batch-sorted into the near window when the horizon
-  advances.
-* The legacy **binary-heap scheduler** (``REPRO_SIM_SCHEDULER=heap`` or
-  ``Simulator(scheduler="heap")``) is kept for one release as the
-  determinism reference.
-
-Both dispatch strictly in ``(time, sequence)`` order, so the same seeds
-produce the same event order — and byte-identical sweep artifacts —
-under either implementation (pinned by
-``tests/test_engine_determinism.py``).
+Dispatch is strictly in ``(time, sequence)`` order, so the same seeds
+produce the same event order and byte-identical sweep artifacts; the
+committed digests in ``tests/golden/artifact_digests.json`` (checked by
+``tests/test_golden.py``) pin that order across changes.
 """
 
 from __future__ import annotations
 
-import heapq
-import os
 from bisect import bisect_right, insort
 from collections import deque
 from typing import Any, Callable, Generator, Iterable, Optional
@@ -197,8 +189,8 @@ class AllOf(Event):
 
 #: A scheduled callback: ``[when, seq, fn, args]``.  ``fn`` is set to
 #: ``None`` on cancellation; the entry stays in the scheduler until the
-#: run loop (or a compaction) reaps it.  (The calendar scheduler's near
-#: lane stores ``when``/``seq`` negated; handles are opaque either way.)
+#: run loop (or a compaction) reaps it.  (The near lane stores
+#: ``when``/``seq`` negated; handles are opaque either way.)
 ScheduledCall = list
 
 #: Compaction policy: rebuild the pending set once at least this many
@@ -208,29 +200,6 @@ ScheduledCall = list
 #: schedule-and-cancel (RPC watchdogs, lease timers) cannot grow the
 #: pending set without bound.
 _COMPACT_MIN_CANCELLED = 64
-
-#: Env var selecting the default scheduler implementation.
-SCHEDULER_ENV = "REPRO_SIM_SCHEDULER"
-
-#: Env var selecting the block-stream kernel: ``batched`` (default)
-#: schedules whole runs of per-block callbacks through
-#: :meth:`Simulator.schedule_batch`; ``stepwise`` keeps the original
-#: one-``call_at``-per-block path as the determinism reference (the
-#: same pattern as the heap-vs-calendar scheduler switch).
-BLOCKS_ENV = "REPRO_SIM_BLOCKS"
-
-
-def block_mode() -> str:
-    """The configured block-stream mode: ``batched`` or ``stepwise``.
-
-    Read once at component construction (nodes, R2P2 engines), so a
-    simulation never changes mode mid-flight."""
-    mode = os.environ.get(BLOCKS_ENV, "batched")
-    if mode not in ("batched", "stepwise"):
-        raise SimulationError(
-            f"unknown block mode {mode!r}; use 'batched' or 'stepwise'"
-        )
-    return mode
 
 #: Calendar tuning: starting near-window width (ns) and the refill
 #: batch sizes that widen/narrow it.  Pure throughput knobs — the
@@ -271,9 +240,6 @@ class Simulator:
     All three lanes mutate **in place** (never rebound), so the run
     loop can hold direct references across callbacks that schedule,
     cancel, or compact.
-
-    ``Simulator(scheduler="heap")`` — or ``REPRO_SIM_SCHEDULER=heap`` —
-    constructs the legacy binary-heap implementation instead.
     """
 
     __slots__ = (
@@ -291,18 +257,7 @@ class Simulator:
         "_width",
     )
 
-    def __new__(cls, scheduler: Optional[str] = None) -> "Simulator":
-        if cls is Simulator:
-            chosen = scheduler or os.environ.get(SCHEDULER_ENV, "calendar")
-            if chosen == "heap":
-                return object.__new__(_HeapSimulator)
-            if chosen != "calendar":
-                raise SimulationError(
-                    f"unknown scheduler {chosen!r}; use 'calendar' or 'heap'"
-                )
-        return object.__new__(cls)
-
-    def __init__(self, scheduler: Optional[str] = None) -> None:
+    def __init__(self) -> None:
         self._now = 0.0
         self._seq = 0
         self._running = False
@@ -325,11 +280,6 @@ class Simulator:
     @property
     def now(self) -> float:
         return self._now
-
-    @property
-    def scheduler(self) -> str:
-        """Which scheduler implementation backs this simulator."""
-        return "calendar"
 
     @property
     def events_scheduled(self) -> int:
@@ -517,9 +467,8 @@ class Simulator:
 
     @property
     def heap_size(self) -> int:
-        """Total pending entries, including not-yet-reaped
-        cancellations (named for the original heap scheduler; it is the
-        pending-set size under either implementation)."""
+        """Total pending entries across all lanes, including
+        not-yet-reaped cancellations."""
         return len(self._imm) + len(self._near) + len(self._far)
 
     @property
@@ -686,112 +635,3 @@ class Simulator:
                 best = e[0]
         return best
 
-
-class _HeapSimulator(Simulator):
-    """The original global binary-heap scheduler, kept (for one
-    release) as the determinism reference behind
-    ``REPRO_SIM_SCHEDULER=heap`` / ``Simulator(scheduler="heap")``."""
-
-    __slots__ = ("_heap",)
-
-    def __init__(self, scheduler: Optional[str] = None) -> None:
-        super().__init__()
-        self._heap: list[ScheduledCall] = []
-
-    @property
-    def scheduler(self) -> str:
-        return "heap"
-
-    # -- scheduling -----------------------------------------------------
-    def call_later(
-        self, delay: float, fn: Callable[..., None], *args: Any
-    ) -> ScheduledCall:
-        if delay < 0:
-            raise SimulationError(f"cannot schedule in the past: {delay}")
-        self._seq += 1
-        entry: ScheduledCall = [self._now + delay, self._seq, fn, args]
-        heapq.heappush(self._heap, entry)
-        return entry
-
-    def call_at(
-        self, when: float, fn: Callable[..., None], *args: Any
-    ) -> ScheduledCall:
-        if when < self._now:
-            raise SimulationError(f"cannot schedule in the past: {when}")
-        return self.call_later(when - self._now, fn, *args)
-
-    def call_soon(
-        self, fn: Callable[..., None], *args: Any
-    ) -> ScheduledCall:
-        return self.call_later(0.0, fn, *args)
-
-    def schedule_batch(self, entries: list) -> list:
-        """Reference implementation: one heap push per entry, with the
-        exact time normalization and sequence numbering of
-        :meth:`call_at`."""
-        handles = []
-        now = self._now
-        heap = self._heap
-        for when, fn, args in entries:
-            if when < now:
-                raise SimulationError(f"cannot schedule in the past: {when}")
-            self._seq += 1
-            entry: ScheduledCall = [now + (when - now), self._seq, fn, args]
-            heapq.heappush(heap, entry)
-            handles.append(entry)
-        return handles
-
-    def _compact(self) -> None:
-        """Drop cancelled entries and re-heapify, in place (the run
-        loop holds a reference to the heap list)."""
-        self._heap[:] = [e for e in self._heap if e[2] is not None]
-        heapq.heapify(self._heap)
-        self._cancelled = 0
-        self.compactions += 1
-
-    @property
-    def heap_size(self) -> int:
-        return len(self._heap)
-
-    # -- execution --------------------------------------------------------
-    def run(self, until: float = float("inf")) -> float:
-        if self._running:
-            raise SimulationError("simulator is already running")
-        if until < self._now:
-            return self._now  # no-op, as on the calendar scheduler
-        self._running = True
-        try:
-            heap = self._heap
-            while heap:
-                entry = heap[0]
-                when, _seq, fn, args = entry
-                if fn is None:  # cancelled: reap and keep going
-                    heapq.heappop(heap)
-                    self._cancelled -= 1
-                    continue
-                if when > until:
-                    self._now = until
-                    break
-                heapq.heappop(heap)
-                # Mark consumed so a late cancel_call on this handle is
-                # a clean no-op instead of skewing the cancelled count.
-                entry[2] = None
-                self._now = when
-                self.events_fired += 1
-                if args:
-                    fn(*args)
-                else:
-                    fn()
-            else:
-                if until != float("inf"):
-                    self._now = until
-        finally:
-            self._running = False
-        return self._now
-
-    def peek(self) -> float:
-        heap = self._heap
-        while heap and heap[0][2] is None:
-            heapq.heappop(heap)
-            self._cancelled -= 1
-        return heap[0][0] if heap else float("inf")

@@ -1,144 +1,14 @@
-"""Batched-vs-stepwise block-stream parity.
+"""The block-stream kernel's scheduling primitive.
 
-The batched block-stream kernel (``REPRO_SIM_BLOCKS=batched``, the
-default) issues/serves/replies whole runs of blocks in one pass through
-:meth:`Simulator.schedule_batch`; the stepwise path is the original
-block-at-a-time callback chain, kept as the determinism reference.  The
-two must be *indistinguishable in results*: every registered
-experiment's artifact byte-identical, and the randomized crash lane's
-violation fingerprints unchanged.
-
-The tier-1 lane covers the flagship spec subset at a tiny scale across
->=3 seeds; the ``slow`` (nightly) lane sweeps every registered spec.
-A direct unit test pins :meth:`schedule_batch` itself to per-entry
-``call_at`` semantics, including the sorted-run splice fast path's
-edge cases.
+Remote transfers unroll, issue and reply whole runs of blocks in one
+pass through :meth:`Simulator.schedule_batch`.  These tests pin it to
+per-entry ``call_at`` semantics, including the sorted-run splice fast
+path's edge cases.  End-to-end behaviour of the block path is pinned by
+the golden digests (``tests/test_golden.py``).
 """
 
-import json
-import os
+from repro.sim.engine import SimulationError, Simulator
 
-import pytest
-
-from repro.experiments import registry
-from repro.experiments.runner import run_sweep
-from repro.sim.engine import BLOCKS_ENV, SimulationError, Simulator, block_mode
-from repro.workloads.fuzz import fuzz_round
-
-SEEDS = (1, 7, 23)
-
-#: Tier-1 subset, matching test_engine_determinism's smoke matrix.
-SMOKE_SPECS = (
-    "ycsb_latency",
-    "txn_abort_rate",
-    "failover_availability",
-    "fig7a",
-)
-
-SMOKE_SCALE = 0.02
-
-
-def _artifact_bytes(spec_name: str, mode: str, seed: int, scale: float) -> bytes:
-    os.environ[BLOCKS_ENV] = mode
-    try:
-        result = run_sweep(registry.get(spec_name), scale=scale, base_seed=seed)
-    finally:
-        os.environ.pop(BLOCKS_ENV, None)
-    payload = result.to_json_dict()
-    payload["elapsed_s"] = 0.0  # wall clock: the one legitimately varying field
-    return json.dumps(payload, sort_keys=True).encode()
-
-
-def test_block_mode_selection():
-    assert block_mode() == "batched"
-    os.environ[BLOCKS_ENV] = "stepwise"
-    try:
-        assert block_mode() == "stepwise"
-    finally:
-        os.environ.pop(BLOCKS_ENV, None)
-    os.environ[BLOCKS_ENV] = "nonsense"
-    try:
-        with pytest.raises(SimulationError):
-            block_mode()
-    finally:
-        os.environ.pop(BLOCKS_ENV, None)
-
-
-@pytest.mark.parametrize("spec_name", SMOKE_SPECS)
-def test_batched_matches_stepwise_artifacts(spec_name):
-    for seed in SEEDS:
-        stepwise = _artifact_bytes(spec_name, "stepwise", seed, SMOKE_SCALE)
-        batched = _artifact_bytes(spec_name, "batched", seed, SMOKE_SCALE)
-        assert stepwise == batched, (spec_name, seed)
-
-
-def test_fuzz_fingerprints_identical_across_block_modes():
-    """The randomized crash lane — in-flight SABRes cancelled at
-    failover, the hardest thing for a batch split to get right — must
-    produce identical violation fingerprints in both modes."""
-    for seed in (505, 616):
-        os.environ[BLOCKS_ENV] = "stepwise"
-        try:
-            a = fuzz_round("sabre", 4, seed=seed, duration_ns=40_000.0,
-                           crash_cycles=3)
-        finally:
-            os.environ.pop(BLOCKS_ENV, None)
-        b = fuzz_round("sabre", 4, seed=seed, duration_ns=40_000.0,
-                       crash_cycles=3)
-        assert a.fingerprint == b.fingerprint, seed
-
-
-@pytest.mark.parametrize(
-    "spec_name", ("gray_availability", "partition_availability")
-)
-def test_fault_specs_are_block_mode_invariant(spec_name):
-    """The fault-injection sweeps: gray/partition windows open and
-    close while block streams are mid-flight, and the degradation
-    table and service multipliers are read at fire time — so the
-    batched kernel must land on the very same per-packet faults the
-    stepwise reference does."""
-    for seed in SEEDS:
-        stepwise = _artifact_bytes(spec_name, "stepwise", seed, SMOKE_SCALE)
-        batched = _artifact_bytes(spec_name, "batched", seed, SMOKE_SCALE)
-        assert stepwise == batched, (spec_name, seed)
-
-
-def test_fault_fuzz_fingerprints_identical_across_block_modes():
-    """Mid-transfer fault windows under both kernels: gray + partition
-    + skew (and crashes) opening while multi-block SABRes stream.  The
-    fingerprints — including refusal and re-arm counters — must not
-    depend on the block path."""
-    kw = dict(
-        duration_ns=40_000.0,
-        crash_cycles=2,
-        gray_windows=2,
-        partition_windows=2,
-        skew_max_ns=1_000.0,
-    )
-    for seed in (505, 616):
-        os.environ[BLOCKS_ENV] = "stepwise"
-        try:
-            a = fuzz_round("sabre", 4, seed=seed, **kw)
-        finally:
-            os.environ.pop(BLOCKS_ENV, None)
-        b = fuzz_round("sabre", 4, seed=seed, **kw)
-        assert a.fingerprint == b.fingerprint, seed
-        assert a.gray_windows + a.straggler_windows == 2
-
-
-@pytest.mark.slow
-@pytest.mark.parametrize("spec_name", sorted(set(registry.names())))
-def test_every_registered_spec_is_block_mode_invariant(spec_name):
-    """Nightly lane: the full registry, three seeds, both block paths."""
-    for seed in SEEDS:
-        stepwise = _artifact_bytes(spec_name, "stepwise", seed, SMOKE_SCALE)
-        batched = _artifact_bytes(spec_name, "batched", seed, SMOKE_SCALE)
-        assert stepwise == batched, (spec_name, seed)
-
-
-# ----------------------------------------------------------------------
-# schedule_batch: the kernel's scheduling primitive
-# ----------------------------------------------------------------------
 
 def _record(order, sim, tag):
     order.append((sim.now, tag))
@@ -148,10 +18,10 @@ def _dispatch_order(schedule):
     """Dispatch order of ``schedule(sim, order)`` driven to completion.
 
     ``schedule`` runs *inside* a callback (the realistic caller: the
-    batched kernel always schedules from within event dispatch, with
+    block kernel always schedules from within event dispatch, with
     lanes and horizon in their steady state).
     """
-    sim = Simulator(scheduler="calendar")
+    sim = Simulator()
     order = []
     # Prime the calendar: land some entries in every lane so the near
     # window has real content and a nonzero horizon before the batch.
@@ -221,7 +91,7 @@ def test_schedule_batch_equal_times_fifo():
 
 
 def test_schedule_batch_past_time_raises_and_preserves_state():
-    sim = Simulator(scheduler="calendar")
+    sim = Simulator()
     order = []
     boom = []
 
@@ -247,7 +117,7 @@ def test_schedule_batch_past_time_raises_and_preserves_state():
 
 
 def test_schedule_batch_returns_cancellable_handles():
-    sim = Simulator(scheduler="calendar")
+    sim = Simulator()
     order = []
 
     def schedule(sim, order):
@@ -264,19 +134,3 @@ def test_schedule_batch_returns_cancellable_handles():
     sim.run()
     assert [tag for _, tag in order] == ["keep", "keep2"]
     assert sim.events_cancelled == 1
-
-
-def test_schedule_batch_matches_on_heap_scheduler_too():
-    entries = [(21.0 + 3.0 * i, f"b{i}") for i in range(5)]
-
-    def run(scheduler, via):
-        sim = Simulator(scheduler=scheduler)
-        order = []
-        sim.call_later(20.0, via(entries), sim, order)
-        sim.run()
-        return order
-
-    assert run("heap", _batch_via_call_at) == run("heap", _batch_via_schedule_batch)
-    assert run("heap", _batch_via_schedule_batch) == run(
-        "calendar", _batch_via_schedule_batch
-    )

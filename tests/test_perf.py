@@ -79,6 +79,23 @@ class TestCompareGate:
         assert result.ok
         assert "no-baseline" in result.report()
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_value_on_either_side_fails(self, bad, tmp_path):
+        for current, baseline in ((bad, 100.0), (100.0, bad)):
+            result = compare_benchmarks(
+                _bench({"a": current}), _bench({"a": baseline})
+            )
+            assert not result.ok
+            assert [d.name for d in result.non_finite] == ["a"]
+            report = result.report()
+            assert "NON-FINITE" in report and "FAIL" in report
+            # Through the files and the CLI too: json writes NaN/Infinity
+            # literals and json.load reads them back as floats.
+            cur, base = tmp_path / "cur.json", tmp_path / "base.json"
+            cur.write_text(json.dumps(_bench({"a": current})))
+            base.write_text(json.dumps(_bench({"a": baseline})))
+            assert perf_main(["compare", str(cur), str(base)]) == 1
+
     def test_bad_threshold_rejected(self):
         with pytest.raises(ConfigError):
             compare_benchmarks(_bench({}), _bench({}), threshold=1.5)
@@ -144,7 +161,6 @@ class TestBenchHarness:
             scenarios={"stub": timing},
             scale=1.0,
             repeats=1,
-            engine="calendar",
             elapsed_s=timing.wall_s,
         )
         path = tmp_path / "BENCH_perf.json"

@@ -1,9 +1,4 @@
-"""Unit tests for the discrete-event kernel.
-
-The ``sim`` fixture parametrizes every test over both scheduler
-implementations (calendar and the legacy heap), so the kernel contract
-is pinned identically for each.
-"""
+"""Unit tests for the discrete-event kernel."""
 
 import pytest
 
@@ -11,9 +6,9 @@ from repro.common.errors import SimulationError
 from repro.sim.engine import Interrupt, Simulator
 
 
-@pytest.fixture(params=["calendar", "heap"])
-def sim(request) -> Simulator:
-    return Simulator(scheduler=request.param)
+@pytest.fixture
+def sim() -> Simulator:
+    return Simulator()
 
 
 def test_time_starts_at_zero():
