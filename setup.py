@@ -5,7 +5,21 @@ editable installs (``pip install -e .``) cannot build an editable
 wheel.  This shim lets pip fall back to ``setup.py develop``.
 """
 
-from setuptools import find_packages, setup
+import hashlib
+import os
+
+from setuptools import Extension, find_packages, setup
+
+
+def kernel_extension() -> Extension:
+    """The compiled event kernel, built under the file name
+    ``repro.sim.kernel.build_name`` looks up: ``_build/_kernel_<first 16
+    hex digits of the source's sha256><EXT_SUFFIX>`` next to the source."""
+    source = os.path.join("src", "repro", "sim", "_kernel.c")
+    with open(source, "rb") as fh:
+        digest = hashlib.sha256(fh.read()).hexdigest()[:16]
+    return Extension(f"repro.sim._build._kernel_{digest}", [source])
+
 
 setup(
     name="sabres-repro",
@@ -13,7 +27,10 @@ setup(
     "in-memory rack-scale computing (MICRO 2016)",
     package_dir={"": "src"},
     packages=find_packages("src"),
-    python_requires=">=3.8",
+    # The loader hashes the kernel source to find its build.
+    package_data={"repro.sim": ["_kernel.c"]},
+    ext_modules=[kernel_extension()],
+    python_requires=">=3.9",
     entry_points={
         "console_scripts": [
             "repro-harness=repro.harness.cli:main",

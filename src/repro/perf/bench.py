@@ -201,9 +201,9 @@ class BenchResult:
             "version": 1,
             "scale": self.scale,
             "repeats": self.repeats,
-            # The simulator has one scheduler; the field stays so older
-            # BENCH files and their readers keep the same shape.
-            "engine": "calendar",
+            # The scheduler that produced the numbers: "kernel" is the
+            # compiled heap core; older files say "calendar".
+            "engine": "kernel",
             "elapsed_s": round(self.elapsed_s, 3),
             "python": sys.version.split()[0],
             "platform": platform.platform(),

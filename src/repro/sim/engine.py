@@ -1,11 +1,10 @@
 """Event loop, events, and generator-based processes.
 
-One **calendar scheduler** backs the loop.  It exploits the near-future
-event pattern of RPC and transfer completions: zero-delay callbacks
-(event dispatch, process starts) ride a FIFO *immediate lane* with no
-ordering work at all, short delays land in a sorted *near window*, and
-everything past the adaptive horizon sits unsorted in a *far bucket*
-that is batch-sorted into the near window when the horizon advances.
+The loop's queue and run loop are compiled: :class:`Simulator`
+subclasses the ``Core`` type of ``_kernel.c`` (built on first import by
+:mod:`repro.sim.kernel`), a binary heap of pending callbacks keyed by
+``(when, seq)``.  Events, timeouts, processes and barriers stay in
+Python on top of its scheduling calls.
 
 Dispatch is strictly in ``(time, sequence)`` order, so the same seeds
 produce the same event order and byte-identical sweep artifacts; the
@@ -15,11 +14,12 @@ committed digests in ``tests/golden/artifact_digests.json`` (checked by
 
 from __future__ import annotations
 
-from bisect import bisect_right, insort
-from collections import deque
 from typing import Any, Callable, Generator, Iterable, Optional
 
 from repro.common.errors import SimulationError
+from repro.sim.kernel import load as _load_kernel
+
+_Core = _load_kernel().Core
 
 
 class Event:
@@ -188,26 +188,10 @@ class AllOf(Event):
 
 
 #: A scheduled callback: ``[when, seq, fn, args]``.  ``fn`` is set to
-#: ``None`` on cancellation; the entry stays in the scheduler until the
-#: run loop (or a compaction) reaps it.  (The near lane stores
-#: ``when``/``seq`` negated; handles are opaque either way.)
+#: ``None`` on cancellation or when the callback fires; a cancelled
+#: entry stays in the heap until it reaches the top or a compaction
+#: drops it.
 ScheduledCall = list
-
-#: Compaction policy: rebuild the pending set once at least this many
-#: entries are cancelled *and* they make up at least half of it.  The
-#: floor keeps tiny sims from compacting constantly; the ratio bounds
-#: scheduler size at ~2x the live entries, so long soaks that
-#: schedule-and-cancel (RPC watchdogs, lease timers) cannot grow the
-#: pending set without bound.
-_COMPACT_MIN_CANCELLED = 64
-
-#: Calendar tuning: starting near-window width (ns) and the refill
-#: batch sizes that widen/narrow it.  Pure throughput knobs — the
-#: dispatch order is (time, seq) regardless, so these never affect
-#: simulation results.
-_NEAR_WINDOW_START_NS = 256.0
-_REFILL_TOO_BIG = 256
-_REFILL_TOO_SMALL = 16
 
 #: When set to a list, every new :class:`Simulator` appends itself here.
 #: The perf-benchmark harness (:mod:`repro.perf.bench`) uses this to
@@ -216,265 +200,46 @@ _REFILL_TOO_SMALL = 16
 TRACKED_SIMULATORS: Optional[list] = None
 
 
-class Simulator:
+class Simulator(_Core):
     """The event loop.  Time is in nanoseconds.
 
-    This is the calendar scheduler.  Pending callbacks live in one of
-    three lanes, all holding ``[when, seq, fn]`` entries and together
-    dispatching in strict ``(when, seq)`` order:
+    The clock, the counters and the pending callbacks live in the
+    compiled core (``_kernel.c``): a binary heap of ``[when, seq, fn,
+    args]`` handles keyed by ``(when, seq)``.  Its API:
 
-    * ``_imm`` — zero-delay callbacks, a plain FIFO deque.  Because
-      simulation time and the sequence counter are both non-decreasing,
-      the deque is already sorted by ``(when, seq)``; scheduling and
-      consuming cost no comparisons at all.
-    * ``_near`` — callbacks due before ``_horizon``, kept sorted on
-      *negated* ``(-when, -seq)`` keys so the next entry to fire sits at
-      the list **end**: consuming is an O(1) ``pop()``, and the
-      dominant insert pattern (a delay that fires soon) lands near the
-      end too, so ``insort`` barely moves memory.
-    * ``_far`` — everything at or past the horizon, unsorted, appended
-      in O(1).  When the near window drains, a batch of the earliest
-      far entries is moved over and sorted once (C timsort), and the
-      window width adapts toward a target batch size.
+    * ``call_at(when, fn, *args)``, ``call_later(delay, fn, *args)``,
+      ``call_soon(fn, *args)`` and ``schedule_batch([(when, fn, args),
+      ...])`` schedule callbacks and return their handles.  An absolute
+      time is normalized as ``now + (when - now)``, so every entry point
+      produces bit-identical times; a batch is exactly one ``call_at``
+      per entry, in order.  A past time, a negative delay or a NaN time
+      raises :class:`SimulationError` (``inf`` is legal); a batch that
+      fails part-way keeps the entries before the bad one.
+    * ``cancel_call(handle)`` tombstones a handle (a no-op once it ran
+      or was cancelled).  Once at least 64 pending entries are
+      cancelled and they make up at least half of the heap, the heap is
+      compacted, so soaks that schedule and cancel (RPC watchdogs,
+      lease timers) stay bounded.
+    * ``now`` (also ``_now``, read by hot paths), ``peek()``,
+      ``heap_size``, ``live_calls``, ``events_scheduled``,
+      ``events_fired``, ``events_cancelled`` and ``compactions``.
 
-    All three lanes mutate **in place** (never rebound), so the run
-    loop can hold direct references across callbacks that schedule,
-    cancel, or compact.
+    The four scheduling entries are bound in this class's own
+    namespace and :meth:`run` is a Python function: tracers patch the
+    former as class attributes and recognise callbacks dispatched
+    straight from the run loop by the latter's frame.
     """
 
-    __slots__ = (
-        "_now",
-        "_seq",
-        "_running",
-        "_cancelled",
-        "compactions",
-        "events_fired",
-        "events_cancelled",
-        "_imm",
-        "_near",
-        "_far",
-        "_horizon",
-        "_width",
-    )
+    __slots__ = ()
+
+    call_at = _Core.call_at
+    call_later = _Core.call_later
+    call_soon = _Core.call_soon
+    schedule_batch = _Core.schedule_batch
 
     def __init__(self) -> None:
-        self._now = 0.0
-        self._seq = 0
-        self._running = False
-        self._cancelled = 0
-        self.compactions = 0
-        self.events_fired = 0
-        #: Monotonic count of :meth:`cancel_call` cancellations — unlike
-        #: ``_cancelled`` (pending tombstones) this never decreases, so
-        #: the perf harness can explain ``events_scheduled`` vs
-        #: ``events_fired`` divergence in cancellation-heavy scenarios.
-        self.events_cancelled = 0
-        self._imm: deque[ScheduledCall] = deque()
-        self._near: list[ScheduledCall] = []
-        self._far: list[ScheduledCall] = []
-        self._horizon = 0.0
-        self._width = _NEAR_WINDOW_START_NS
         if TRACKED_SIMULATORS is not None:
             TRACKED_SIMULATORS.append(self)
-
-    @property
-    def now(self) -> float:
-        return self._now
-
-    @property
-    def events_scheduled(self) -> int:
-        """Total callbacks ever scheduled on this simulator."""
-        return self._seq
-
-    # -- scheduling -----------------------------------------------------
-    def call_later(
-        self, delay: float, fn: Callable[..., None], *args: Any
-    ) -> ScheduledCall:
-        """Run ``fn(*args)`` at ``now + delay``; FIFO among equal times.
-
-        Passing ``args`` positionally avoids a closure allocation per
-        scheduled call — the hot paths (packet delivery, block-read
-        completions) schedule bound methods with their arguments.
-        Returns the scheduled-call handle; pass it to
-        :meth:`cancel_call` to cancel before it fires."""
-        if delay < 0:
-            raise SimulationError(f"cannot schedule in the past: {delay}")
-        self._seq = seq = self._seq + 1
-        when = self._now + delay
-        if delay == 0.0:
-            entry: ScheduledCall = [when, seq, fn, args]
-            self._imm.append(entry)
-        elif when < self._horizon:
-            # Near entries carry negated keys (see the class docstring).
-            entry = [-when, -seq, fn, args]
-            near = self._near
-            # Soonest-yet entries (the common completion pattern) sort
-            # to the very end: plain append instead of a bisect.
-            if near and entry > near[-1]:
-                near.append(entry)
-            else:
-                insort(near, entry)
-        else:
-            entry = [when, seq, fn, args]
-            self._far.append(entry)
-        return entry
-
-    def call_at(
-        self, when: float, fn: Callable[..., None], *args: Any
-    ) -> ScheduledCall:
-        now = self._now
-        if when < now:
-            raise SimulationError(f"cannot schedule in the past: {when}")
-        # Same arithmetic as call_later (now + (when - now)): the two
-        # entry points must produce bit-identical times.
-        when = now + (when - now)
-        self._seq = seq = self._seq + 1
-        if when == now:
-            entry: ScheduledCall = [when, seq, fn, args]
-            self._imm.append(entry)
-        elif when < self._horizon:
-            entry = [-when, -seq, fn, args]
-            near = self._near
-            if near and entry > near[-1]:
-                near.append(entry)
-            else:
-                insort(near, entry)
-        else:
-            entry = [when, seq, fn, args]
-            self._far.append(entry)
-        return entry
-
-    def call_soon(
-        self, fn: Callable[..., None], *args: Any
-    ) -> ScheduledCall:
-        """``call_later(0.0, fn, *args)`` without the delay plumbing —
-        the immediate-lane fast path for event dispatch."""
-        self._seq = seq = self._seq + 1
-        entry: ScheduledCall = [self._now, seq, fn, args]
-        self._imm.append(entry)
-        return entry
-
-    def schedule_batch(self, entries: list) -> list:
-        """Bulk-inject a run of ``(when, fn, args)`` callbacks.
-
-        Exactly equivalent to issuing one :meth:`call_at` per entry, in
-        order, from the current callback — same time normalization,
-        same consecutive sequence numbers, same lane placement — minus
-        the per-call overhead.  This is the batched block-stream
-        kernel's primitive: a transfer's unroll or issue burst computes
-        its per-block timestamps in one pass (they are presorted and
-        consecutive by construction) and lands here as one injection.
-
-        Returns the scheduled-call handles, in entry order.
-        """
-        now = self._now
-        seq = self._seq
-        imm = self._imm
-        near = self._near
-        far = self._far
-        horizon = self._horizon
-        handles = []
-        append_handle = handles.append
-        n = len(entries)
-        i = 0
-        while i < n:
-            when, fn, args = entries[i]
-            if when < now:
-                self._seq = seq
-                raise SimulationError(f"cannot schedule in the past: {when}")
-            # Same arithmetic as call_later (now + (when - now)): every
-            # entry point must produce bit-identical times.
-            when = now + (when - now)
-            seq += 1
-            i += 1
-            if when == now:
-                entry: ScheduledCall = [when, seq, fn, args]
-                imm.append(entry)
-                append_handle(entry)
-                continue
-            if when >= horizon:
-                entry = [when, seq, fn, args]
-                far.append(entry)
-                append_handle(entry)
-                continue
-            entry = [-when, -seq, fn, args]
-            if not near or entry > near[-1]:
-                near.append(entry)
-                append_handle(entry)
-                continue
-            # Sorted-run splice: batch entries are presorted by (when,
-            # seq), so in the near lane's negated keys each subsequent
-            # entry sorts at or before this one's insertion point.  As
-            # long as they stay *inside the same gap* between existing
-            # entries, the whole run goes in with one list splice
-            # instead of one insort (bisect + memmove) per entry.  The
-            # lane contents end up identical to sequential insorts.
-            pos = bisect_right(near, entry)
-            lower = near[pos - 1] if pos else None
-            run = [entry]
-            append_handle(entry)
-            while i < n:
-                when2, fn2, args2 = entries[i]
-                if when2 < now:
-                    near[pos:pos] = run[::-1]
-                    self._seq = seq
-                    raise SimulationError(
-                        f"cannot schedule in the past: {when2}"
-                    )
-                when2 = now + (when2 - now)
-                if when2 == now or when2 >= horizon:
-                    break
-                e2: ScheduledCall = [-when2, -(seq + 1), fn2, args2]
-                if not e2 < run[-1]:
-                    break  # out-of-order input: general path re-handles it
-                if lower is not None and not e2 > lower:
-                    break  # leaves the gap: general path re-handles it
-                seq += 1
-                i += 1
-                run.append(e2)
-                append_handle(e2)
-            near[pos:pos] = run[::-1]
-        self._seq = seq
-        return handles
-
-    def cancel_call(self, handle: ScheduledCall) -> None:
-        """Cancel a scheduled callback (no-op if it already ran or was
-        already cancelled).  Cancelled entries are reaped lazily; once
-        enough accumulate the pending set is compacted in place, so its
-        size stays proportional to *live* entries even in soaks that
-        cancel most of what they schedule."""
-        if handle[2] is None:
-            return
-        handle[2] = None
-        self._cancelled += 1
-        self.events_cancelled += 1
-        if (
-            self._cancelled >= _COMPACT_MIN_CANCELLED
-            and self._cancelled * 2 >= self.heap_size
-        ):
-            self._compact()
-
-    def _compact(self) -> None:
-        """Drop cancelled entries from every lane, in place (the run
-        loop holds references to the lane containers)."""
-        live_imm = [e for e in self._imm if e[2] is not None]
-        self._imm.clear()
-        self._imm.extend(live_imm)
-        self._near[:] = [e for e in self._near if e[2] is not None]
-        self._far[:] = [e for e in self._far if e[2] is not None]
-        self._cancelled = 0
-        self.compactions += 1
-
-    @property
-    def heap_size(self) -> int:
-        """Total pending entries across all lanes, including
-        not-yet-reaped cancellations."""
-        return len(self._imm) + len(self._near) + len(self._far)
-
-    @property
-    def live_calls(self) -> int:
-        """Scheduled callbacks that will actually run."""
-        return self.heap_size - self._cancelled
 
     # -- event / process factories ---------------------------------------
     def event(self) -> Event:
@@ -489,149 +254,16 @@ class Simulator:
     def all_of(self, events: Iterable[Event]) -> AllOf:
         return AllOf(self, events)
 
-    # -- calendar internals ----------------------------------------------
-    def _refill(self) -> bool:
-        """Advance the horizon: move the earliest batch of far entries
-        into the (drained) near window and sort it once.  Returns False
-        when no live far entries remain."""
-        far = self._far
-        earliest = None
-        for e in far:
-            if e[2] is not None and (earliest is None or e[0] < earliest):
-                earliest = e[0]
-        if earliest is None:
-            # Only cancelled residue (if anything): reap it.
-            if far:
-                self._cancelled -= len(far)
-                del far[:]
-            return False
-        cutoff = earliest + self._width
-        # Inclusive bound: with earliest at float('inf') (or so large
-        # that adding the width is lost to rounding) cutoff == earliest
-        # and a strict '<' would move nothing, spinning the run loop on
-        # refill forever.  '<=' always moves at least the minimum.
-        moved: list[ScheduledCall] = []
-        keep: list[ScheduledCall] = []
-        for e in far:
-            if e[2] is None:
-                self._cancelled -= 1
-            elif e[0] <= cutoff:
-                e[0] = -e[0]  # flip to the near lane's negated keys
-                e[1] = -e[1]
-                moved.append(e)
-            else:
-                keep.append(e)
-        self._far[:] = keep
-        moved.sort()
-        self._near[:] = moved
-        self._horizon = cutoff
-        # Adapt the window toward the target batch size.
-        if len(moved) > _REFILL_TOO_BIG:
-            self._width = max(self._width * 0.5, 1e-3)
-        elif len(moved) < _REFILL_TOO_SMALL:
-            self._width = min(self._width * 2.0, 1e15)
-        return True
-
     # -- execution --------------------------------------------------------
     def run(self, until: float = float("inf")) -> float:
         """Run until the queue drains or simulated time reaches ``until``.
 
+        A past ``until`` is a no-op; a drained queue with a finite
+        ``until`` leaves the clock at ``until``.  A callback that raises
+        propagates out with the clock at its event, counted in
+        ``events_fired``, and the simulator can run again.  Running from
+        inside a callback raises :class:`SimulationError`.
+
         Returns the simulation time when the run stopped.
         """
-        if self._running:
-            raise SimulationError("simulator is already running")
-        if until < self._now:
-            # Running "until" a past time is a no-op; silently moving
-            # the clock backwards would corrupt the immediate lane's
-            # sorted-by-construction invariant.
-            return self._now
-        self._running = True
-        fired = 0
-        # The lane containers only ever mutate in place, so these
-        # references stay valid across compactions and refills.
-        imm = self._imm
-        near = self._near
-        pop_imm = imm.popleft
-        pop_near = near.pop
-        try:
-            while True:
-                # Reap cancelled lane heads (next-to-fire positions).
-                while near and near[-1][2] is None:
-                    pop_near()
-                    self._cancelled -= 1
-                while imm and imm[0][2] is None:
-                    pop_imm()
-                    self._cancelled -= 1
-                if near:
-                    entry = near[-1]
-                    when = -entry[0]
-                    if imm:
-                        head = imm[0]
-                        hw = head[0]
-                        # Strict (when, seq) order across lanes.
-                        if hw < when or (hw == when and head[1] < -entry[1]):
-                            entry = head
-                            when = hw
-                            if when > until:
-                                self._now = until
-                                break
-                            pop_imm()
-                        else:
-                            if when > until:
-                                self._now = until
-                                break
-                            pop_near()
-                    else:
-                        if when > until:
-                            self._now = until
-                            break
-                        pop_near()
-                elif imm:
-                    entry = imm[0]
-                    when = entry[0]
-                    if when > until:
-                        self._now = until
-                        break
-                    pop_imm()
-                else:
-                    if self._refill():
-                        continue
-                    if until != float("inf"):
-                        self._now = until
-                    break
-                fn = entry[2]
-                # Mark consumed so a late cancel_call on this handle is
-                # a clean no-op instead of skewing the cancelled count.
-                entry[2] = None
-                self._now = when
-                fired += 1
-                args = entry[3]
-                if args:
-                    fn(*args)
-                else:
-                    fn()
-        finally:
-            self._running = False
-            self.events_fired += fired
-        return self._now
-
-    def peek(self) -> float:
-        """Time of the next *live* scheduled callback (inf if none)."""
-        imm = self._imm
-        while imm and imm[0][2] is None:
-            imm.popleft()
-            self._cancelled -= 1
-        near = self._near
-        while near and near[-1][2] is None:
-            near.pop()
-            self._cancelled -= 1
-        best = float("inf")
-        if imm:
-            best = imm[0][0]
-        if near and -near[-1][0] < best:
-            best = -near[-1][0]
-        for e in self._far:
-            if e[2] is not None and e[0] < best:
-                best = e[0]
-        return best
-
+        return self._run(until)

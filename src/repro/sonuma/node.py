@@ -451,8 +451,8 @@ class SoNode:
             )
         # BandwidthServer.request inlined (once per reply packet).
         rcp = self._rcp[transfer.backend]
-        sim = self.sim
-        start = sim._now
+        now = self.sim._now
+        start = now
         next_free = rcp._next_free
         if next_free > start:
             start = next_free
@@ -461,13 +461,13 @@ class SoNode:
         rcp._next_free = next_free
         rcp._busy_ns += service
         rcp._bytes += self._rmc_cycle
-        sim.call_at(next_free, self._process_reply, transfer, pkt)
-
-    def _process_reply(self, transfer: SourceTransfer, pkt: Packet) -> None:
-        if transfer.completed:
-            # Crash-aborted while this reply sat in the RCP pipeline:
-            # the CQ entry already failed, drop the reply.
-            return
+        # The RCP's work on a reply touches only this transfer's private
+        # state (its landing buffer, counts and verdict), which nothing
+        # reads before completion, so it is applied at arrival.  Only
+        # the reply that completes the transfer takes an event, at the
+        # RCP time call_at normalizes to: the events this drops would
+        # have scheduled nothing, so every other event keeps its order.
+        rcp_done = now + (next_free - now)
         kind = pkt.kind
         if kind is PacketKind.SABRE_REPLY or kind is PacketKind.READ_REPLY:
             # Hot path first: the unrolled data replies.
@@ -484,7 +484,7 @@ class SoNode:
                 else:
                     phys.write(addr, payload)
             transfer.replies_received += 1
-            transfer.timings.last_reply = self.sim._now
+            transfer.timings.last_reply = rcp_done
         elif kind is PacketKind.SABRE_VALIDATION:
             transfer.validation = pkt.meta["success"]
             transfer.remote_version = pkt.meta.get("version")
@@ -492,15 +492,22 @@ class SoNode:
             transfer.cas_old_value = pkt.meta["old_value"]
             transfer.cas_swapped = pkt.meta["swapped"]
             transfer.replies_received += 1
-            transfer.timings.last_reply = self.sim._now
+            transfer.timings.last_reply = rcp_done
         else:  # WRITE_ACK
             transfer.replies_received += 1
-            transfer.timings.last_reply = self.sim._now
+            transfer.timings.last_reply = rcp_done
         # transfer.done inlined (property call per reply adds up).
         if transfer.replies_received >= transfer.total_blocks and (
             transfer.op is not OpKind.SABRE or transfer.validation is not None
         ):
-            self._complete(transfer)
+            self.sim.call_at(next_free, self._finish_transfer, transfer)
+
+    def _finish_transfer(self, transfer: SourceTransfer) -> None:
+        if transfer.completed:
+            # Crash-aborted while its last reply sat in the RCP
+            # pipeline: the CQ entry already failed, drop the reply.
+            return
+        self._complete(transfer)
 
     def _complete(self, transfer: SourceTransfer) -> None:
         transfer.completed = True

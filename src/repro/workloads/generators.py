@@ -2,8 +2,9 @@
 
 from __future__ import annotations
 
+import functools
 import math
-from typing import List, Sequence
+from typing import List, Sequence, Tuple
 
 from repro.common.rng import make_rng
 
@@ -44,6 +45,45 @@ class CrewPartition:
         return list(self._subsets[writer_id])
 
 
+@functools.lru_cache(maxsize=32)
+def _zipf_tables(
+    n: int, theta: float
+) -> Tuple[Tuple[float, ...], Tuple[float, ...], Tuple[int, ...]]:
+    """The Zipf(``n``, ``theta``) CDF and Vose alias table (probability
+    and alias columns).  They depend on nothing else, so every picker
+    over ``n`` objects shares one immutable copy instead of rebuilding
+    it per client thread."""
+    weights = [1.0 / math.pow(rank, theta) for rank in range(1, n + 1)]
+    total = 0.0
+    cdf: List[float] = []
+    for w in weights:
+        total += w
+        cdf.append(total)
+    # Vose alias construction: scale each probability by n, split
+    # into sub-unit ("small") and super-unit ("large") columns, and
+    # let each column donate its excess to fill one small column.
+    scaled = [w * n / total for w in weights]
+    prob = [0.0] * n
+    alias = [0] * n
+    small = [i for i, s in enumerate(scaled) if s < 1.0]
+    large = [i for i, s in enumerate(scaled) if s >= 1.0]
+    while small and large:
+        s = small.pop()
+        g = large.pop()
+        prob[s] = scaled[s]
+        alias[s] = g
+        scaled[g] = (scaled[g] + scaled[s]) - 1.0
+        if scaled[g] < 1.0:
+            small.append(g)
+        else:
+            large.append(g)
+    for i in large:
+        prob[i] = 1.0
+    for i in small:  # float-residue leftovers: probability ~1
+        prob[i] = 1.0
+    return tuple(cdf), tuple(prob), tuple(alias)
+
+
 class ZipfianPicker:
     """Zipf-distributed object picker.
 
@@ -53,8 +93,8 @@ class ZipfianPicker:
     conflict behavior beyond the paper's uniform microbenchmark.
 
     Sampling uses a precomputed **alias table** (Vose's method): O(n)
-    construction, then O(1) per draw with exactly one ``rng.random()``
-    call.  The chi-squared tests pin it to the analytic Zipf pmf.
+    construction, once per ``(n, theta)`` and shared by every picker,
+    then O(1) per draw with exactly one ``rng.random()`` call.  The chi-squared tests pin it to the analytic Zipf pmf.
     """
 
     def __init__(
@@ -70,38 +110,8 @@ class ZipfianPicker:
             raise ValueError(f"theta out of range: {theta}")
         self._ids = list(object_ids)
         self._rng = make_rng(seed, "zipfian", theta, label)
-        n = len(self._ids)
-        weights = [1.0 / math.pow(rank, theta) for rank in range(1, n + 1)]
-        total = 0.0
-        self._cdf: List[float] = []
-        for w in weights:
-            total += w
-            self._cdf.append(total)
-        self._total = total
-        # Vose alias construction: scale each probability by n, split
-        # into sub-unit ("small") and super-unit ("large") columns, and
-        # let each column donate its excess to fill one small column.
-        scaled = [w * n / total for w in weights]
-        prob = [0.0] * n
-        alias = [0] * n
-        small = [i for i, s in enumerate(scaled) if s < 1.0]
-        large = [i for i, s in enumerate(scaled) if s >= 1.0]
-        while small and large:
-            s = small.pop()
-            g = large.pop()
-            prob[s] = scaled[s]
-            alias[s] = g
-            scaled[g] = (scaled[g] + scaled[s]) - 1.0
-            if scaled[g] < 1.0:
-                small.append(g)
-            else:
-                large.append(g)
-        for i in large:
-            prob[i] = 1.0
-        for i in small:  # float-residue leftovers: probability ~1
-            prob[i] = 1.0
-        self._prob = prob
-        self._alias = alias
+        self._cdf, self._prob, self._alias = _zipf_tables(len(self._ids), theta)
+        self._total = self._cdf[-1]
 
     def pick(self) -> int:
         # One uniform draw supplies both the column and the coin flip.

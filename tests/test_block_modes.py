@@ -2,8 +2,8 @@
 
 Remote transfers unroll, issue and reply whole runs of blocks in one
 pass through :meth:`Simulator.schedule_batch`.  These tests pin it to
-per-entry ``call_at`` semantics, including the sorted-run splice fast
-path's edge cases.  End-to-end behaviour of the block path is pinned by
+per-entry ``call_at`` semantics over presorted, interleaved,
+out-of-order and equal-time inputs.  End-to-end behaviour of the block path is pinned by
 the golden digests (``tests/test_golden.py``).
 """
 
@@ -19,12 +19,12 @@ def _dispatch_order(schedule):
 
     ``schedule`` runs *inside* a callback (the realistic caller: the
     block kernel always schedules from within event dispatch, with
-    lanes and horizon in their steady state).
+    other entries already pending).
     """
     sim = Simulator()
     order = []
-    # Prime the calendar: land some entries in every lane so the near
-    # window has real content and a nonzero horizon before the batch.
+    # Prime the queue: pending entries before, between and after the
+    # batch's times.
     for d in (0.0, 10.0, 50.0, 90.0, 5_000.0, 9_000.0):
         sim.call_later(d, _record, order, sim, f"prime@{d}")
     sim.call_later(20.0, schedule, sim, order)
@@ -55,13 +55,13 @@ def _assert_batch_equivalent(entries):
 
 
 def test_schedule_batch_presorted_run():
-    # The kernel's common case: consecutive block timestamps, all
-    # inside the near window, landing in one gap (splice fast path).
+    # The kernel's common case: consecutive block timestamps landing
+    # between two pending entries.
     _assert_batch_equivalent([(21.0 + 2.0 * i, f"b{i}") for i in range(8)])
 
 
 def test_schedule_batch_spans_all_lanes():
-    # Immediate (when == now at schedule time 20.0), near, and far
+    # Zero-delay (when == now at schedule time 20.0), near and far
     # entries in one batch.
     _assert_batch_equivalent(
         [(20.0, "imm"), (25.0, "near1"), (30.0, "near2"), (8_000.0, "far")]
@@ -70,16 +70,15 @@ def test_schedule_batch_spans_all_lanes():
 
 def test_schedule_batch_run_leaves_the_gap():
     # A run that starts between two existing entries (prime@50, prime@90)
-    # and then crosses below the lower neighbor: the splice must stop at
-    # the gap edge and the rest go through the general path.
+    # and then crosses past the upper one.
     _assert_batch_equivalent(
         [(60.0, "in-gap1"), (65.0, "in-gap2"), (95.0, "past-gap")]
     )
 
 
 def test_schedule_batch_out_of_order_input():
-    # Not presorted: the splice fast path must bail to per-entry
-    # handling without corrupting lane order.
+    # Not presorted: the batch must still dispatch like per-entry
+    # call_at.
     _assert_batch_equivalent(
         [(40.0, "x"), (22.0, "y"), (70.0, "z"), (22.0, "y2"), (41.0, "w")]
     )
@@ -111,7 +110,8 @@ def test_schedule_batch_past_time_raises_and_preserves_state():
     sim.call_later(20.0, schedule, sim, order)
     sim.run()
     assert boom and "past" in boom[0]
-    # The pre-raise entry was injected and fires; lanes stay consistent.
+    # The pre-raise entry was injected and fires; the queue stays
+    # consistent.
     assert (25.0, "ok") in order
     assert [tag for _, tag in order].count("prime@50.0") == 1
 

@@ -167,7 +167,7 @@ class TestBenchHarness:
         result.write_json(str(path))
         data = json.loads(path.read_text())
         assert data["suite"] == "repro-perf"
-        assert data["engine"] == "calendar"
+        assert data["engine"] == "kernel"
         row = data["scenarios"]["stub"]
         for key in (
             "wall_s",

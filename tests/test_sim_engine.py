@@ -1,8 +1,16 @@
 """Unit tests for the discrete-event kernel."""
 
+import gc
+import os
+import shutil
+import sys
+import types
+import weakref
+
 import pytest
 
 from repro.common.errors import SimulationError
+from repro.sim import kernel
 from repro.sim.engine import Interrupt, Simulator
 
 
@@ -414,8 +422,7 @@ class TestSelfCancelDuringFire:
 
 def test_run_until_past_time_is_a_noop(sim):
     """``run(until)`` with ``until`` before ``now`` must not move the
-    clock backwards (the calendar's immediate lane is sorted only
-    because time is non-decreasing)."""
+    clock backwards."""
     fired = []
     sim.call_later(20.0, lambda: fired.append("a"))
     sim.run()
@@ -430,11 +437,171 @@ def test_run_until_past_time_is_a_noop(sim):
 
 
 def test_infinite_delay_fires_and_run_terminates(sim):
-    """A ``float('inf')`` deadline must fire (at t=inf) rather than
-    spin the refill loop forever."""
+    """A ``float('inf')`` deadline must fire (at t=inf) and the run
+    must then terminate."""
     fired = []
     sim.call_later(float("inf"), lambda: fired.append("end-of-time"))
     sim.call_later(3.0, lambda: fired.append("soon"))
     sim.run()
     assert fired == ["soon", "end-of-time"]
     assert sim.heap_size == 0
+
+
+# ----------------------------------------------------------------------
+# NaN times are rejected at every scheduling entry point
+# ----------------------------------------------------------------------
+
+
+NAN = float("nan")
+
+
+def test_call_at_rejects_nan(sim):
+    with pytest.raises(SimulationError, match="NaN"):
+        sim.call_at(NAN, lambda: None)
+    assert sim.events_scheduled == 0
+    assert sim.heap_size == 0
+
+
+def test_call_later_rejects_nan(sim):
+    with pytest.raises(SimulationError, match="NaN"):
+        sim.call_later(NAN, lambda: None)
+    assert sim.events_scheduled == 0
+    assert sim.heap_size == 0
+
+
+def test_infinite_times_stay_legal(sim):
+    fired = []
+    sim.call_at(float("inf"), lambda: fired.append("at"))
+    sim.schedule_batch([(float("inf"), fired.append, ("batch",))])
+    sim.run()
+    assert fired == ["at", "batch"]
+    # At t=inf every entry point still schedules (at inf).
+    sim.call_at(float("inf"), fired.append, "again")
+    sim.call_later(1.0, fired.append, "later")
+    sim.run()
+    assert fired == ["at", "batch", "again", "later"]
+
+
+def test_schedule_batch_rejects_nan_and_keeps_the_prefix(sim):
+    """A batch is one call_at per entry, in order: the entries before a
+    NaN one stay scheduled with consecutive sequence numbers, the rest
+    never are."""
+    fired = []
+    with pytest.raises(SimulationError, match="NaN"):
+        sim.schedule_batch(
+            [
+                (2.0, fired.append, ("a",)),
+                (1.0, fired.append, ("b",)),
+                (NAN, fired.append, ("nan",)),
+                (3.0, fired.append, ("after",)),
+            ]
+        )
+    assert sim.events_scheduled == 2
+    assert sim.heap_size == sim.live_calls == 2
+    handle = sim.call_later(0.5, fired.append, "next")
+    assert handle[1] == 3
+    sim.run()
+    assert fired == ["next", "b", "a"]
+
+
+# ----------------------------------------------------------------------
+# the compiled core: GC, errors inside callbacks, the tracer contract
+# ----------------------------------------------------------------------
+
+
+def test_dropped_simulator_with_pending_cycles_is_collected():
+    """Pending handles that reference their simulator (bound methods,
+    events) form reference cycles; the core takes part in cyclic GC,
+    so dropping the simulator frees it."""
+    freed = []
+    for _ in range(50):
+        sim = Simulator()
+        sim.call_later(5.0, sim.call_soon, lambda: None)
+        sim.timeout(10.0)
+        weakref.finalize(sim, freed.append, 1)
+        del sim
+    gc.collect()
+    assert len(freed) == 50
+
+
+def test_raising_callback_leaves_simulator_consistent(sim):
+    fired = []
+
+    def boom():
+        raise ValueError("boom")
+
+    sim.call_later(1.0, fired.append, "before")
+    sim.call_later(2.0, boom)
+    sim.call_later(3.0, fired.append, "after")
+    with pytest.raises(ValueError, match="boom"):
+        sim.run()
+    assert sim.now == 2.0
+    assert sim.events_fired == 2
+    assert sim.live_calls == 1
+    assert sim.run() == 3.0
+    assert fired == ["before", "after"]
+    assert sim.events_fired == 3
+
+
+def test_nested_run_raises(sim):
+    errors = []
+
+    def nested():
+        try:
+            sim.run()
+        except SimulationError as exc:
+            errors.append(str(exc))
+
+    sim.call_later(1.0, nested)
+    sim.call_later(2.0, lambda: None)
+    assert sim.run() == 2.0
+    assert errors == ["simulator is already running"]
+
+
+def test_scheduling_entries_live_in_the_simulator_class():
+    """Tracers patch the four scheduling calls as class attributes of
+    ``Simulator`` and recognise callbacks dispatched straight from the
+    loop by the frame of its Python ``run``."""
+    for name in ("call_at", "call_later", "call_soon", "schedule_batch"):
+        assert name in Simulator.__dict__
+    run = Simulator.__dict__["run"]
+    assert isinstance(run, types.FunctionType)
+    sim = Simulator()
+    parents = []
+    sim.call_soon(lambda: parents.append(sys._getframe(1).f_code))
+    sim.run()
+    assert parents == [run.__code__]
+
+
+def test_loader_never_loads_a_build_of_other_source(tmp_path, monkeypatch):
+    """Builds are keyed by the source's sha256: with a build of the
+    current source in the cache, an edited source gets its own build."""
+    # Loading registers the module under its import name; restore ours.
+    monkeypatch.setitem(sys.modules, kernel.MODULE_NAME, sys.modules[kernel.MODULE_NAME])
+    with open(kernel.SOURCE, "rb") as fh:
+        source = fh.read()
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    stale = cache / kernel.build_name(source)
+    shutil.copy(kernel.build(), stale)
+    edited = tmp_path / "_kernel.c"
+    edited.write_bytes(source + b"\n/* edited */\n")
+    module = kernel.load(str(edited), str(cache))
+    expected = cache / kernel.build_name(edited.read_bytes())
+    assert expected != stale
+    assert os.path.samefile(module.__file__, expected)
+    assert sorted(p.name for p in cache.iterdir()) == sorted([stale.name, expected.name])
+    core = module.Core()
+    core.call_later(1.0, lambda: None)
+    assert core._run(float("inf")) == 1.0
+
+
+def test_missing_compiler_is_an_import_error(tmp_path, monkeypatch):
+    monkeypatch.setattr(
+        kernel, "compile_command", lambda src, out: [str(tmp_path / "no-cc"), src]
+    )
+    edited = tmp_path / "_kernel.c"
+    edited.write_bytes(b"/* never built */\n")
+    with pytest.raises(ImportError, match="C compiler"):
+        kernel.load(str(edited), str(tmp_path / "cache"))
+    assert list((tmp_path / "cache").iterdir()) == []

@@ -44,6 +44,29 @@ class TestZipfianPicker:
         for _ in range(20):
             assert 0 <= picker.pick() < n
 
+    def test_tables_shared_across_seeds_and_streams_unchanged(self):
+        """The alias/CDF tables depend only on ``(n, theta)``: pickers
+        with different seeds (or id lists of the same length) share one
+        immutable copy, and each still draws the stream it drew when
+        every picker built its own tables."""
+        a = ZipfianPicker(range(1000), seed=3, theta=0.99, label="t")
+        b = ZipfianPicker(range(1000), seed=11, theta=0.99, label="t")
+        c = ZipfianPicker(range(2000, 3000), seed=3, theta=0.99)
+        for attr in ("_cdf", "_prob", "_alias"):
+            assert getattr(a, attr) is getattr(b, attr) is getattr(c, attr)
+            assert isinstance(getattr(a, attr), tuple)
+        assert ZipfianPicker(range(1000), seed=3, theta=1.2)._prob is not a._prob
+        assert [a.pick() for _ in range(12)] == [
+            67, 0, 0, 806, 964, 5, 221, 44, 619, 12, 77, 33,
+        ]
+        assert [b.pick() for _ in range(12)] == [
+            102, 18, 58, 10, 30, 491, 118, 0, 111, 3, 0, 31,
+        ]
+        shifted = ZipfianPicker(list(range(500, 600)), seed=5, theta=1.2)
+        assert [shifted.pick() for _ in range(12)] == [
+            500, 508, 502, 501, 500, 556, 501, 507, 504, 500, 500, 584,
+        ]
+
     def test_lower_theta_less_skew(self):
         steep = ZipfianPicker(range(100), seed=1, theta=1.2)
         flat = ZipfianPicker(range(100), seed=1, theta=0.3)
