@@ -26,14 +26,7 @@ from repro.experiments.campaign import (
     CampaignStage,
     load_campaign,
 )
-from repro.experiments.context import (
-    CacheContext,
-    CampaignContext,
-    MemoryContext,
-    PointCache,
-    RunContext,
-    point_key,
-)
+from repro.experiments.context import CampaignContext, point_key
 from repro.experiments.executors import (
     Executor,
     PoolExecutor,
@@ -44,12 +37,7 @@ from repro.experiments.executors import (
 )
 from repro.experiments.qa import QaCheck, QaReport
 from repro.experiments.registry import get, load_builtin, names, register
-from repro.experiments.runner import (
-    SweepResult,
-    SweepRunner,
-    merge_rows,
-    run_sweep,
-)
+from repro.experiments.runner import SweepResult, merge_rows, run_sweep
 from repro.experiments.spec import (
     ExperimentSpec,
     Point,
@@ -58,25 +46,20 @@ from repro.experiments.spec import (
 )
 
 __all__ = [
-    "CacheContext",
     "CampaignContext",
     "CampaignRunner",
     "CampaignSpec",
     "CampaignStage",
     "Executor",
     "ExperimentSpec",
-    "MemoryContext",
     "Point",
-    "PointCache",
     "PointContext",
     "PoolExecutor",
     "QaCheck",
     "QaReport",
-    "RunContext",
     "SerialExecutor",
     "SubprocessExecutor",
     "SweepResult",
-    "SweepRunner",
     "Variant",
     "execute_point",
     "get",

@@ -14,7 +14,7 @@ from typing import Any, Dict, List
 
 from repro.common.config import ClusterConfig, SabreMode
 from repro.experiments.registry import register
-from repro.experiments.runner import SweepRunner
+from repro.experiments.runner import run_sweep
 from repro.experiments.spec import ExperimentSpec, Variant
 from repro.harness.report import scaled_duration
 from repro.workloads.microbench import MicrobenchConfig, run_microbench
@@ -24,7 +24,7 @@ def run_ablation(name: str, scale: float = 1.0, jobs: int = 1) -> List[Dict]:
     """Run one registered ablation and return its rows."""
     from repro.experiments import registry
 
-    return SweepRunner(registry.get(name), scale=scale, jobs=jobs).run().rows
+    return run_sweep(registry.get(name), scale=scale, jobs=jobs).rows
 
 
 def _cluster_with_sabre(**fields: Any) -> ClusterConfig:
@@ -82,7 +82,6 @@ register(
             "torn_reads",
         ),
         point_fn=_source_locking_point,
-        base_seed=13,
     )
 )
 
@@ -134,7 +133,6 @@ register(
             "torn_reads",
         ),
         point_fn=_skewed_access_point,
-        base_seed=41,
     )
 )
 
@@ -318,7 +316,6 @@ def _register_r2p2_distribution() -> None:
                 "pinning_cost",
             ),
             point_fn=FIG7A_SPEC.point_fn,
-            base_seed=FIG7A_SPEC.base_seed,
         )
     )
 

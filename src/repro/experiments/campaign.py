@@ -3,26 +3,27 @@
 A :class:`CampaignSpec` is the ``executeppr``-style processing
 request: it names a sequence of *stages* (each a registered
 :class:`ExperimentSpec` — or a ``module:attr`` reference — plus axis
-subsets, parameter overrides, a seed root, a scale, and QA checks).
+subsets, parameter overrides, a scale, and QA checks).
 :class:`CampaignRunner` executes the request through any
-:class:`~repro.experiments.executors.Executor` against any
-:class:`~repro.experiments.context.RunContext`:
+:class:`~repro.experiments.executors.Executor`, optionally against a
+:class:`~repro.experiments.context.CampaignContext`:
 
-* with a :class:`~repro.experiments.context.CampaignContext`, every
-  completed point is journaled immediately, so a killed campaign
-  resumes from exactly the unfinished points — same rows, byte for
-  byte, as an uninterrupted run;
+* every completed point is journaled immediately, so a killed
+  campaign resumes from exactly the unfinished points — same rows,
+  byte for byte, as an uninterrupted run;
 * per-stage rows/meta/QA artifacts land under ``<dir>/artifacts/``
   and feed the HTML renderer (``repro-campaign report``).
 
 Requests load from JSON files or from Python files exposing a
 ``CAMPAIGN`` attribute (for campaigns that need closures or computed
 axes); both normalize through :meth:`CampaignSpec.to_dict`, which is
-what a campaign directory persists.
+what a campaign directory persists.  Malformed requests (wrong
+types, missing or unknown keys) raise :class:`ConfigError`.
 """
 
 from __future__ import annotations
 
+import copy
 import importlib.util
 import json
 import os
@@ -32,14 +33,15 @@ from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.common.errors import ConfigError
 from repro.experiments import qa as qa_mod
-from repro.experiments.context import CampaignContext, RunContext, point_key
+from repro.experiments.context import CampaignContext, point_key
 from repro.experiments.executors import (
     Executor,
     SubprocessExecutor,
+    make_executor,
     resolve_spec,
 )
-from repro.experiments.qa import QaCheck, QaReport
-from repro.experiments.runner import SweepResult, SweepRunner
+from repro.experiments.qa import QaCheck, QaReport, checked_mapping
+from repro.experiments.runner import SweepResult, run_sweep
 
 
 @dataclass
@@ -50,13 +52,15 @@ class CampaignStage:
     name: str = ""
     axes: Optional[Mapping[str, Sequence[Any]]] = None
     overrides: Optional[Mapping[str, Any]] = None
-    base_seed: Optional[int] = None
     scale: Optional[float] = None
     qa: Sequence[QaCheck] = ()
 
     def __post_init__(self) -> None:
-        if not self.experiment:
-            raise ConfigError("campaign stage needs an experiment reference")
+        if not self.experiment or not isinstance(self.experiment, str):
+            raise ConfigError(
+                f"campaign stage needs an experiment reference, got "
+                f"{self.experiment!r}"
+            )
         if not self.name:
             # module:attr references make poor filenames; use the attr.
             self.name = self.experiment.rsplit(":", 1)[-1]
@@ -67,8 +71,6 @@ class CampaignStage:
             out["axes"] = {k: list(v) for k, v in self.axes.items()}
         if self.overrides is not None:
             out["overrides"] = dict(self.overrides)
-        if self.base_seed is not None:
-            out["base_seed"] = self.base_seed
         if self.scale is not None:
             out["scale"] = self.scale
         if self.qa:
@@ -76,15 +78,29 @@ class CampaignStage:
         return out
 
     @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "CampaignStage":
+    def from_dict(cls, data: Any) -> "CampaignStage":
+        data = checked_mapping(
+            "campaign stage",
+            data,
+            required=("experiment",),
+            optional=("name", "axes", "overrides", "scale", "qa"),
+        )
+        for key in ("axes", "overrides"):
+            value = data.get(key)
+            if value is not None and not isinstance(value, Mapping):
+                raise ConfigError(
+                    f"stage {key!r} must be an object, got {type(value).__name__}"
+                )
+        qa = data.get("qa", ())
+        if not isinstance(qa, (list, tuple)):
+            raise ConfigError(f"stage 'qa' must be a list, got {type(qa).__name__}")
         return cls(
             experiment=data["experiment"],
             name=data.get("name", ""),
             axes=data.get("axes"),
             overrides=data.get("overrides"),
-            base_seed=data.get("base_seed"),
             scale=data.get("scale"),
-            qa=tuple(QaCheck.from_dict(c) for c in data.get("qa", ())),
+            qa=tuple(QaCheck.from_dict(c) for c in qa),
         )
 
 
@@ -120,14 +136,22 @@ class CampaignSpec:
         }
 
     @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "CampaignSpec":
+    def from_dict(cls, data: Any) -> "CampaignSpec":
+        data = checked_mapping(
+            "campaign request",
+            data,
+            optional=("campaign", "name", "description", "scale", "stages"),
+        )
+        stages = data.get("stages", ())
+        if not isinstance(stages, (list, tuple)):
+            raise ConfigError(
+                f"campaign 'stages' must be a list, got {type(stages).__name__}"
+            )
         return cls(
             name=data.get("campaign") or data.get("name") or "",
             description=data.get("description", ""),
             scale=data.get("scale", 1.0),
-            stages=tuple(
-                CampaignStage.from_dict(s) for s in data.get("stages", ())
-            ),
+            stages=tuple(CampaignStage.from_dict(s) for s in stages),
         )
 
 
@@ -173,11 +197,14 @@ class StageResult:
     stage: str
     result: SweepResult
     qa: QaReport
-    journal_hits: int
 
     @property
     def verdict(self) -> str:
         return self.qa.verdict
+
+    @property
+    def journal_hits(self) -> int:
+        return self.result.points_cached
 
 
 @dataclass
@@ -209,24 +236,20 @@ class CampaignRunner:
         self,
         campaign: CampaignSpec,
         executor: Optional[Executor] = None,
-        context: Optional[RunContext] = None,
+        context: Optional[CampaignContext] = None,
     ):
         self.campaign = campaign
-        self.executor = executor
+        self.executor = executor or make_executor()
         self.context = context
 
     # ------------------------------------------------------------------
-    def _stage_executor(self, stage: CampaignStage) -> Optional[Executor]:
+    def _stage_executor(self, stage: CampaignStage) -> Executor:
         """Subprocess workers resolve specs by reference, and the
         reference is per-stage — hand each stage its own copy."""
         executor = self.executor
         if isinstance(executor, SubprocessExecutor) and executor.ref is None:
-            return SubprocessExecutor(
-                workers=executor.workers,
-                command=executor.command,
-                ref=stage.experiment,
-                env=executor.env,
-            )
+            executor = copy.copy(executor)
+            executor.ref = stage.experiment
         return executor
 
     def run(self) -> CampaignResult:
@@ -242,27 +265,23 @@ class CampaignRunner:
         as it completes (artifacts are written before the yield, so a
         consumer crash never loses a finished stage)."""
         context = self.context
-        if isinstance(context, CampaignContext):
+        if context is not None:
             context.save_request(self.campaign.to_dict())
         for stage in self.campaign.stages:
             spec = resolve_spec(stage.experiment)
             scale = self.campaign.scale if stage.scale is None else stage.scale
-            hits_before = context.hits if context is not None else 0
-            runner = SweepRunner(
+            executor = self._stage_executor(stage)
+            result = run_sweep(
                 spec,
                 scale=scale,
                 axes=stage.axes,
                 overrides=stage.overrides,
-                base_seed=stage.base_seed,
-                executor=self._stage_executor(stage),
+                executor=executor,
                 context=context,
             )
-            result = runner.run()
-            hits = (context.hits - hits_before) if context is not None else 0
             checks = [*spec.qa_checks, *stage.qa]
             report = qa_mod.evaluate(stage.name, checks, result.rows)
-            if isinstance(context, CampaignContext):
-                executor = runner.executor
+            if context is not None:
                 context.write_stage_artifacts(
                     stage.name,
                     rows_payload=result.rows_json_dict(),
@@ -272,7 +291,7 @@ class CampaignRunner:
                         "scale": scale,
                         "executor": executor.describe(),
                         "points_total": result.points_total,
-                        "journal_hits": hits,
+                        "journal_hits": result.points_cached,
                         "elapsed_s": round(result.elapsed_s, 3),
                     },
                     qa_payload=report.to_dict(),
@@ -281,9 +300,8 @@ class CampaignRunner:
                 stage=stage.name,
                 result=result,
                 qa=report,
-                journal_hits=hits,
             )
-        if isinstance(context, CampaignContext):
+        if context is not None:
             context.close()
 
 
@@ -304,9 +322,7 @@ def campaign_status(
     for stage in campaign.stages:
         spec = resolve_spec(stage.experiment)
         scale = campaign.scale if stage.scale is None else stage.scale
-        points = spec.expand(
-            axes=stage.axes, overrides=stage.overrides, base_seed=stage.base_seed
-        )
+        points = spec.expand(axes=stage.axes, overrides=stage.overrides)
         done = sum(
             1
             for p in points

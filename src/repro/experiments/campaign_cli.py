@@ -3,7 +3,8 @@
 Usage::
 
     repro-campaign run nightly.json --dir runs/nightly --jobs 4
-    repro-campaign run nightly.json --executor workers --workers 4
+    repro-campaign run nightly.json --jobs 4 \
+        --worker-command "ssh build2 python3 -m repro.experiments.worker"
     repro-campaign resume runs/nightly          # continue after a kill
     repro-campaign status runs/nightly          # points done per stage
     repro-campaign report runs/nightly          # render the HTML weblog
@@ -36,32 +37,20 @@ from repro.experiments.executors import make_executor
 
 def _add_executor_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
-        "--executor",
-        choices=("serial", "pool", "workers"),
-        default="serial",
-        help="execution strategy (default: serial; 'workers' fans out "
-        "to subprocess/ssh workers)",
-    )
-    parser.add_argument(
         "--jobs",
         type=int,
         default=1,
-        help="pool size for --executor pool (or serial with --jobs > 1)",
-    )
-    parser.add_argument(
-        "--workers",
-        type=int,
-        default=2,
-        help="worker count for --executor workers (default: 2)",
+        help="parallel points: 1 runs in-process, N > 1 a local pool, "
+        "or N workers with --worker-command (default: 1)",
     )
     parser.add_argument(
         "--worker-command",
         default=None,
         metavar="CMD",
-        help="worker launch template for --executor workers; {python} "
-        "expands to this interpreter (default: '{python} -m "
-        "repro.experiments.worker'; prefix with 'ssh host' for a "
-        "remote worker)",
+        help="launch --jobs workers from this template instead of a "
+        "local pool; {python} expands to this interpreter (e.g. "
+        "'{python} -m repro.experiments.worker', or prefix with "
+        "'ssh host' for a remote worker)",
     )
     parser.add_argument(
         "--qa-gate",
@@ -104,12 +93,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def _execute(
     campaign: CampaignSpec, context: CampaignContext, args: argparse.Namespace
 ) -> int:
-    executor = make_executor(
-        kind=args.executor,
-        jobs=args.jobs,
-        workers=args.workers,
-        command=args.worker_command,
-    )
+    executor = make_executor(args.jobs, args.worker_command)
     result = CampaignRunner(campaign, executor=executor, context=context).run()
     _print_result(result)
     if args.qa_gate and result.verdict == "fail":

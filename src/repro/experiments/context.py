@@ -1,24 +1,19 @@
-"""Run contexts: where completed point fragments live between runs.
+"""The campaign directory: where completed point fragments live.
 
-A *run context* answers two questions for the sweep/campaign machinery:
-"has this point already been computed?" and "remember this fragment".
-Three implementations cover the spectrum:
-
-* :class:`MemoryContext` — nothing persists; plain one-shot runs.
-* :class:`CacheContext` — the PR-1 :class:`PointCache` behind the
-  context interface: one JSON file per point, shared across runs and
-  campaigns that happen to hit the same points.
-* :class:`CampaignContext` — a campaign directory with an append-only
-  JSONL *journal* of completed point keys + fragments, the campaign
-  request, per-stage artifacts, and the HTML report.  A killed
-  campaign resumes from exactly the unfinished points: every fragment
-  is journaled (and flushed) the moment it completes, and corrupt or
-  truncated journal lines — the signature of a SIGKILL mid-write —
-  are skipped, so those points simply recompute.
+A :class:`CampaignContext` answers two questions for the sweep and
+campaign machinery: "has this point already been computed?" and
+"remember this fragment".  It is a directory with an append-only JSONL
+*journal* of completed point keys + fragments, the campaign request,
+per-stage artifacts, and the HTML report.  A killed campaign resumes
+from exactly the unfinished points: every fragment is journaled (and
+flushed) the moment it completes, and corrupt or truncated journal
+lines — the signature of a SIGKILL mid-write — are skipped, so those
+points simply recompute.  Any later run pointed at the same directory
+reuses every journaled point.
 
 Keys come from :func:`point_key`: a content hash of the spec name,
-variant, scale, seed, and full parameter dict, so a journal or cache
-can never serve a fragment to a point it wasn't computed for.
+variant, scale, axis values, and full parameter dict, so a journal can
+never serve a fragment to a point it wasn't computed for.
 """
 
 from __future__ import annotations
@@ -28,6 +23,7 @@ import json
 import os
 from typing import Any, Dict, Iterator, Optional, TextIO, Tuple
 
+from repro.common.atomic import atomic_write_json
 from repro.experiments.spec import Point
 
 #: Campaign directory layout (all relative to the campaign root).
@@ -38,137 +34,23 @@ REPORT_DIR = "report"
 
 
 def point_key(spec_name: str, point: Point, scale: float) -> str:
-    """Content hash identifying one executable point at one scale."""
+    """Content hash identifying one executable point at one scale.
+
+    Axis values are hashed next to the params because a ``derive`` hook
+    may drop an axis from the params it returns."""
     canon = repr(
         (
             spec_name,
             point.variant.name,
             scale,
-            point.seed,
+            sorted((k, repr(v)) for k, v in point.axis_values.items()),
             sorted((k, repr(v)) for k, v in point.params.items()),
         )
     )
     return hashlib.sha256(canon.encode()).hexdigest()
 
 
-def _atomic_write_text(path: str, text: str) -> None:
-    """Write-then-rename so readers never observe a truncated file."""
-    tmp = path + ".tmp"
-    with open(tmp, "w") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
-
-
-def atomic_write_json(path: str, payload: Any) -> None:
-    _atomic_write_text(path, json.dumps(payload, indent=2) + "\n")
-
-
-# ----------------------------------------------------------------------
-# contexts
-# ----------------------------------------------------------------------
-
-
-class RunContext:
-    """Interface: lookup and record completed point fragments.
-
-    ``hits``/``misses`` count lookups, so callers can report exactly
-    how much work a resume or cached re-run skipped."""
-
-    def __init__(self) -> None:
-        self.hits = 0
-        self.misses = 0
-
-    def get(self, key: str) -> Optional[Dict[str, Any]]:
-        fragment = self._load(key)
-        if fragment is None:
-            self.misses += 1
-        else:
-            self.hits += 1
-        return fragment
-
-    def record(self, key: str, fragment: Dict[str, Any], stage: str = "") -> None:
-        raise NotImplementedError
-
-    def _load(self, key: str) -> Optional[Dict[str, Any]]:
-        raise NotImplementedError
-
-
-class MemoryContext(RunContext):
-    """Session-local context: completed points shared within a process."""
-
-    def __init__(self) -> None:
-        super().__init__()
-        self._fragments: Dict[str, Dict[str, Any]] = {}
-
-    def record(self, key: str, fragment: Dict[str, Any], stage: str = "") -> None:
-        self._fragments[key] = dict(fragment)
-
-    def _load(self, key: str) -> Optional[Dict[str, Any]]:
-        fragment = self._fragments.get(key)
-        return dict(fragment) if fragment is not None else None
-
-
-class PointCache:
-    """Completed-point cache: one JSON file per point, keyed by a hash
-    of the spec name, scale, seed, variant, and full parameter dict.
-
-    Values must be JSON-serializable (all built-in specs emit plain
-    numbers/strings); anything else is silently not cached."""
-
-    def __init__(self, root: str):
-        self.root = root
-        os.makedirs(root, exist_ok=True)
-        self.hits = 0
-        self.misses = 0
-
-    @staticmethod
-    def key(spec_name: str, point: Point, scale: float) -> str:
-        return point_key(spec_name, point, scale)
-
-    def _path(self, key: str) -> str:
-        return os.path.join(self.root, f"{key}.json")
-
-    def load(self, key: str) -> Optional[Dict[str, Any]]:
-        try:
-            with open(self._path(key)) as fh:
-                fragment = json.load(fh)
-        except (OSError, ValueError):
-            self.misses += 1
-            return None
-        if not isinstance(fragment, dict):
-            # Garbage that happens to parse (e.g. a bare number from a
-            # corrupted entry) must recompute, never flow into rows.
-            self.misses += 1
-            return None
-        self.hits += 1
-        return fragment
-
-    def store(self, key: str, fragment: Dict[str, Any]) -> None:
-        try:
-            blob = json.dumps(fragment)
-        except (TypeError, ValueError):
-            return  # not serializable: skip caching, never fail the run
-        tmp = self._path(key) + ".tmp"
-        with open(tmp, "w") as fh:
-            fh.write(blob)
-        os.replace(tmp, self._path(key))
-
-
-class CacheContext(RunContext):
-    """The point cache behind the context interface (no journal)."""
-
-    def __init__(self, cache: PointCache):
-        super().__init__()
-        self.cache = cache
-
-    def record(self, key: str, fragment: Dict[str, Any], stage: str = "") -> None:
-        self.cache.store(key, fragment)
-
-    def _load(self, key: str) -> Optional[Dict[str, Any]]:
-        return self.cache.load(key)
-
-
-class CampaignContext(RunContext):
+class CampaignContext:
     """A campaign directory: request + journal + artifacts + report.
 
     The journal is append-only JSONL — one ``{"stage", "key",
@@ -176,15 +58,17 @@ class CampaignContext(RunContext):
     SIGKILL loses at most the line being written (which the loader
     then skips).  ``get`` serves fragments journaled by *any* earlier
     attempt of the campaign; keys are content hashes, so replays are
-    always safe."""
+    always safe.  ``hits``/``misses`` count lookups, so callers can
+    report exactly how much work a resume or re-run skipped."""
 
     def __init__(self, root: str):
-        super().__init__()
         self.root = root
         os.makedirs(root, exist_ok=True)
         os.makedirs(self.artifact_dir, exist_ok=True)
         self._fragments: Dict[str, Dict[str, Any]] = {}
         self.journal_lines_skipped = 0
+        self.hits = 0
+        self.misses = 0
         self._replay_journal()
         self._journal: Optional[TextIO] = None
 
@@ -241,9 +125,13 @@ class CampaignContext(RunContext):
         self._journal.write(blob + "\n")
         self._journal.flush()
 
-    def _load(self, key: str) -> Optional[Dict[str, Any]]:
+    def get(self, key: str) -> Optional[Dict[str, Any]]:
         fragment = self._fragments.get(key)
-        return dict(fragment) if fragment is not None else None
+        if fragment is None:
+            self.misses += 1
+            return None
+        self.hits += 1
+        return dict(fragment)
 
     def completed_keys(self) -> Tuple[str, ...]:
         return tuple(self._fragments)

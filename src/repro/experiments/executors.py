@@ -9,14 +9,16 @@ column fragments:
 * :class:`PoolExecutor` — a ``multiprocessing`` pool on this host;
 * :class:`SubprocessExecutor` — multi-host style fan-out: pickled
   points are shipped to worker processes launched from a command
-  template (plain subprocesses by default, ``ssh host ...`` for real
-  remote hosts) and fragments stream back over stdout as they finish.
+  template (``{python} -m repro.experiments.worker`` for local
+  subprocesses, ``ssh host ...`` for real remote hosts) and fragments
+  stream back over stdout as they finish.
 
-Every executor yields ``(point.index, fragment)`` pairs as points
-complete, so callers can journal each fragment immediately (crash
-resume) while still merging rows in deterministic grid order.
-Determinism does not depend on the executor: each point re-seeds the
-global RNG from its own derived seed, so serial, pooled, and
+:func:`make_executor` picks one from ``jobs`` and an optional worker
+command.  Every executor yields ``(point.index, fragment)`` pairs as
+points complete, so callers can journal each fragment immediately
+(crash resume) while still merging rows in deterministic grid order.
+Determinism does not depend on the executor: a point's randomness
+flows from the explicit seeds in its params, so serial, pooled, and
 subprocess execution produce byte-identical fragments.
 """
 
@@ -28,7 +30,6 @@ import multiprocessing
 import os
 import pickle
 import queue
-import random
 import shlex
 import subprocess
 import sys
@@ -52,27 +53,15 @@ Fragment = Tuple[int, Dict[str, Any]]
 
 
 def execute_point(spec: ExperimentSpec, point: Point, scale: float) -> Dict[str, Any]:
-    """Run one point under a deterministic per-point global-RNG seed.
-
-    The seed applies identically under every executor, so a point
-    function that reaches for the global ``random`` module still
-    yields identical rows at any parallelism; the caller's RNG state
-    is restored afterwards, so sweeps have no side effect on library
-    users."""
+    """Run one point and check that it returned a column dict."""
     ctx = PointContext(
         spec_name=spec.name,
         params=point.params,
         axis_values=point.axis_values,
         variant=point.variant.name,
         scale=scale,
-        seed=point.seed,
     )
-    outer_state = random.getstate()
-    random.seed(point.seed)
-    try:
-        fragment = spec.point_fn(ctx)
-    finally:
-        random.setstate(outer_state)
+    fragment = spec.point_fn(ctx)
     if not isinstance(fragment, Mapping):
         raise ConfigError(
             f"experiment {spec.name!r} point_fn must return a column dict, "
@@ -85,8 +74,10 @@ class Executor:
     """Strategy interface: stream ``(index, fragment)`` for each point.
 
     Implementations may complete points in any order; callers
-    reassemble by ``point.index``.  ``describe()`` labels artifacts
-    and status output."""
+    reassemble by ``point.index``.  ``jobs`` is the parallelism the
+    sweep artifact reports; ``describe()`` labels campaign artifacts."""
+
+    jobs = 1
 
     def run(
         self, spec: ExperimentSpec, points: Sequence[Point], scale: float
@@ -175,19 +166,6 @@ class PoolExecutor(Executor):
 # multi-host worker fan-out
 # ----------------------------------------------------------------------
 
-#: Default worker invocation: this interpreter, the worker module.
-DEFAULT_WORKER_COMMAND = "{python} -m repro.experiments.worker"
-
-
-def spec_ref(spec: ExperimentSpec) -> str:
-    """A worker-resolvable reference for ``spec``: its registry name.
-
-    Workers are separate processes (possibly on other hosts), so they
-    cannot receive ``point_fn`` closures; they re-resolve the spec
-    from :mod:`repro.experiments.registry` (built-ins load
-    automatically) or from a ``module:attr`` path."""
-    return spec.name
-
 
 def resolve_spec(ref: str) -> ExperimentSpec:
     """Resolve a spec reference: ``module:attr`` or a registry name."""
@@ -206,33 +184,35 @@ def resolve_spec(ref: str) -> ExperimentSpec:
 class SubprocessExecutor(Executor):
     """Ship pickled points to worker processes and stream fragments back.
 
-    Each worker is launched from ``command`` (a shell-style template;
-    ``{python}`` expands to :data:`sys.executable`).  The default runs
-    local subprocesses — two of them already exercise the full
-    multi-host protocol — while e.g. ``"ssh build2 python3 -m
-    repro.experiments.worker"`` fans the same protocol out to another
-    machine (the remote side needs the repo importable).
+    ``jobs`` workers are launched from ``command`` (a shell-style
+    template; ``{python}`` expands to :data:`sys.executable`).
+    ``"{python} -m repro.experiments.worker"`` runs local subprocesses
+    — two of them already exercise the full multi-host protocol —
+    while e.g. ``"ssh build2 python3 -m repro.experiments.worker"``
+    fans the same protocol out to another machine (the remote side
+    needs the repo importable).
 
     Points are dealt round-robin into one chunk per worker, each chunk
     is sent as one pickled payload on the worker's stdin, and workers
     write one JSON line per completed point to stdout (fragments
     base64-pickled so value types survive transport exactly).  The
-    spec itself never crosses the wire: workers re-resolve it by
-    *reference* — the registry name, or ``module:attr`` for specs
-    living outside the registry (set ``ref`` explicitly for those).
+    spec itself never crosses the wire (``point_fn`` may be a closure):
+    workers re-resolve it by *reference* — the registry name, or
+    ``module:attr`` for specs living outside the registry (set ``ref``
+    explicitly for those).
     """
 
     def __init__(
         self,
-        workers: int = 2,
-        command: Optional[str] = None,
+        jobs: int,
+        command: str,
         ref: Optional[str] = None,
         env: Optional[Mapping[str, str]] = None,
     ):
-        if workers < 1:
-            raise ConfigError(f"workers must be >= 1, got {workers}")
-        self.workers = workers
-        self.command = command or DEFAULT_WORKER_COMMAND
+        if jobs < 1:
+            raise ConfigError(f"jobs must be >= 1, got {jobs}")
+        self.jobs = jobs
+        self.command = command
         self.ref = ref
         self.env = dict(env) if env is not None else None
 
@@ -262,8 +242,8 @@ class SubprocessExecutor(Executor):
     ) -> Iterator[Fragment]:
         if not points:
             return
-        ref = self.ref or spec_ref(spec)
-        chunks: List[List[Point]] = [[] for _ in range(min(self.workers, len(points)))]
+        ref = self.ref or spec.name
+        chunks: List[List[Point]] = [[] for _ in range(min(self.jobs, len(points)))]
         for i, point in enumerate(points):
             chunks[i % len(chunks)].append(point)
 
@@ -313,7 +293,7 @@ class SubprocessExecutor(Executor):
                     proc.wait()
 
     def describe(self) -> str:
-        return f"workers:{self.workers}"
+        return f"workers:{self.jobs}"
 
 
 class WorkerError(Exception):
@@ -360,28 +340,12 @@ def _feed_and_read(
 # ----------------------------------------------------------------------
 
 
-def make_executor(
-    kind: str = "serial",
-    jobs: int = 1,
-    workers: int = 2,
-    command: Optional[str] = None,
-    ref: Optional[str] = None,
-) -> Executor:
-    """Build an executor from CLI-ish knobs.
-
-    ``kind`` is one of ``serial``, ``pool``, ``workers``.  As a
-    convenience, ``kind='serial'`` with ``jobs > 1`` upgrades to a
-    pool — that keeps ``--jobs N`` meaning what it always meant."""
+def make_executor(jobs: int = 1, command: Optional[str] = None) -> Executor:
+    """Pick the executor: ``command`` launches ``jobs`` workers from
+    that template; otherwise ``jobs == 1`` runs in-process and
+    ``jobs > 1`` runs a local pool."""
     if jobs < 1:
         raise ConfigError(f"jobs must be >= 1, got {jobs}")
-    if workers < 1:
-        raise ConfigError(f"workers must be >= 1, got {workers}")
-    if kind == "serial":
-        return PoolExecutor(jobs) if jobs > 1 else SerialExecutor()
-    if kind == "pool":
-        return PoolExecutor(jobs)
-    if kind == "workers":
-        return SubprocessExecutor(workers=workers, command=command, ref=ref)
-    raise ConfigError(
-        f"unknown executor {kind!r}; expected serial, pool, or workers"
-    )
+    if command:
+        return SubprocessExecutor(jobs, command)
+    return PoolExecutor(jobs) if jobs > 1 else SerialExecutor()

@@ -73,7 +73,13 @@ class QaCheck:
         return out
 
     @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "QaCheck":
+    def from_dict(cls, data: Any) -> "QaCheck":
+        data = checked_mapping(
+            "QA check",
+            data,
+            required=("column",),
+            optional=("agg", "lo", "hi", "label"),
+        )
         return cls(
             column=data["column"],
             agg=data.get("agg", "max"),
@@ -81,6 +87,30 @@ class QaCheck:
             hi=data.get("hi"),
             label=data.get("label", ""),
         )
+
+
+def checked_mapping(
+    what: str,
+    data: Any,
+    required: Sequence[str] = (),
+    optional: Sequence[str] = (),
+) -> Mapping[str, Any]:
+    """Validate one object of a campaign request: ``data`` must be a
+    mapping holding every ``required`` key and no key outside
+    ``required`` + ``optional`` (a misspelt key would otherwise be
+    dropped and the run would silently use other parameters)."""
+    if not isinstance(data, Mapping):
+        raise ConfigError(f"{what} must be an object, got {type(data).__name__}")
+    missing = [key for key in required if key not in data]
+    if missing:
+        raise ConfigError(f"{what} is missing {', '.join(map(repr, missing))}")
+    unknown = sorted(set(data) - set(required) - set(optional))
+    if unknown:
+        raise ConfigError(
+            f"{what} has unknown key(s) {', '.join(map(repr, unknown))}; "
+            f"allowed: {', '.join((*required, *optional))}"
+        )
+    return data
 
 
 def _aggregate(values: List[float], agg: str) -> float:

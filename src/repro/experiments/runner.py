@@ -1,51 +1,33 @@
 """Sweep execution for :class:`ExperimentSpec`.
 
-The runner is now a thin orchestration layer over three pluggable
-pieces (PR 9 split the old monolith):
+:func:`run_sweep` is a thin orchestration layer over three pieces:
 
 * point **expansion** stays pure in :mod:`repro.experiments.spec`;
 * an :class:`~repro.experiments.executors.Executor` turns pending
   points into fragments (in-process, pool, or multi-host workers);
-* a :class:`~repro.experiments.context.RunContext` remembers completed
-  fragments (point cache, or a campaign's crash-resumable journal).
+* an optional :class:`~repro.experiments.context.CampaignContext`
+  remembers completed fragments in a crash-resumable journal.
 
-Determinism: every point re-seeds the worker's global RNG from a seed
-derived from ``(spec seed, spec name, point index, variant)``, and all
-simulation randomness already flows from the explicit config seeds, so
-every executor produces byte-identical rows to a serial run.
+Determinism: all simulation randomness flows from the explicit seeds
+in each point's params, so every executor produces byte-identical rows
+to a serial run.
 """
 
 from __future__ import annotations
 
-import json
 import math
-import os
 import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
-from repro.common.errors import ConfigError
-from repro.experiments.context import (
-    CacheContext,
-    PointCache,
-    RunContext,
-    point_key,
-)
-from repro.experiments.executors import (
-    Executor,
-    PoolExecutor,
-    SerialExecutor,
-    SubprocessExecutor,
-    execute_point,
-)
+from repro.common.atomic import atomic_write_json
+from repro.experiments.context import CampaignContext, point_key
+from repro.experiments.executors import Executor, make_executor
 from repro.experiments.spec import ExperimentSpec, Point
 from repro.harness.report import format_table
 
-# Backward-compatible aliases: these lived here before the split.
-_execute_point = execute_point
-
 # ----------------------------------------------------------------------
-# result assembly (shared by SweepRunner and CampaignRunner)
+# result assembly
 # ----------------------------------------------------------------------
 
 
@@ -86,9 +68,15 @@ def merge_rows(
 
 
 def result_headers(
-    spec: ExperimentSpec, rows: Sequence[Dict[str, Any]]
+    spec: ExperimentSpec,
+    rows: Sequence[Dict[str, Any]],
+    axes: Optional[Mapping[str, Sequence[Any]]] = None,
 ) -> Tuple[str, ...]:
-    return tuple(spec.headers) or (tuple(rows[0]) if rows else tuple(spec.axes))
+    """The spec's headers, led by any parameter swept as an extra axis."""
+    if not spec.headers:
+        return tuple(rows[0]) if rows else tuple(spec.axes)
+    added = tuple(axis for axis in axes or () if axis not in spec.axes)
+    return (*added, *spec.headers)
 
 
 @dataclass
@@ -138,13 +126,7 @@ class SweepResult:
         return payload
 
     def write_json(self, path: str) -> None:
-        # Write-then-rename: a run killed mid-write must never leave a
-        # truncated artifact for downstream tooling to choke on.
-        tmp = path + ".tmp"
-        with open(tmp, "w") as fh:
-            json.dump(self.to_json_dict(), fh, indent=2)
-            fh.write("\n")
-        os.replace(tmp, path)
+        atomic_write_json(path, self.to_json_dict())
 
 
 # ----------------------------------------------------------------------
@@ -152,122 +134,52 @@ class SweepResult:
 # ----------------------------------------------------------------------
 
 
-class SweepRunner:
-    """Expand a spec and execute every point through an executor.
-
-    Parameters
-    ----------
-    spec:
-        The experiment to run.
-    scale:
-        Measurement-window scale factor forwarded to every point.
-    jobs:
-        Worker processes; 1 runs in-process (no pool).  Ignored when
-        an explicit ``executor`` is given.
-    axes:
-        Per-run axis overrides (e.g. a subset of object sizes).
-    overrides:
-        Parameter overrides merged over defaults/axis/variant values.
-    cache_dir:
-        Enable the on-disk completed-point cache rooted here.  Ignored
-        when an explicit ``context`` is given.
-    base_seed:
-        Override the spec's seed root for per-point worker seeding.
-    executor:
-        Execution strategy; defaults to serial (``jobs == 1``) or a
-        ``multiprocessing`` pool.
-    context:
-        Completed-fragment store consulted before executing and fed as
-        fragments complete (e.g. a campaign journal).
-    """
-
-    def __init__(
-        self,
-        spec: ExperimentSpec,
-        scale: float = 1.0,
-        jobs: int = 1,
-        axes: Optional[Mapping[str, Sequence[Any]]] = None,
-        overrides: Optional[Mapping[str, Any]] = None,
-        cache_dir: Optional[str] = None,
-        base_seed: Optional[int] = None,
-        executor: Optional[Executor] = None,
-        context: Optional[RunContext] = None,
-    ):
-        if jobs < 1:
-            raise ConfigError(f"jobs must be >= 1, got {jobs}")
-        self.spec = spec
-        self.scale = scale
-        self.jobs = jobs
-        self.axes = axes
-        self.overrides = overrides
-        self.base_seed = base_seed
-        if executor is None:
-            executor = PoolExecutor(jobs) if jobs > 1 else SerialExecutor()
-        self.executor = executor
-        # Keep the artifact's reported parallelism truthful when the
-        # executor was handed in directly (e.g. by a campaign).
-        if isinstance(executor, PoolExecutor):
-            self.jobs = executor.jobs
-        elif isinstance(executor, SubprocessExecutor):
-            self.jobs = executor.workers
-        if context is None and cache_dir:
-            context = CacheContext(PointCache(cache_dir))
-        self.context = context
-
-    # Kept for callers/tests that poke the cache object directly.
-    @property
-    def cache(self) -> Optional[PointCache]:
-        if isinstance(self.context, CacheContext):
-            return self.context.cache
-        return None
-
-    # ------------------------------------------------------------------
-    def run(self) -> SweepResult:
-        start = time.time()
-        points = self.spec.expand(
-            axes=self.axes, overrides=self.overrides, base_seed=self.base_seed
-        )
-        fragments: List[Optional[Dict[str, Any]]] = [None] * len(points)
-
-        pending: List[Point] = []
-        keys: Dict[int, str] = {}
-        if self.context is not None:
-            for point in points:
-                key = point_key(self.spec.name, point, self.scale)
-                keys[point.index] = key
-                known = self.context.get(key)
-                if known is not None:
-                    fragments[point.index] = known
-                else:
-                    pending.append(point)
-        else:
-            pending = list(points)
-
-        cached_count = len(points) - len(pending)
-        for index, fragment in self.executor.run(self.spec, pending, self.scale):
-            fragments[index] = fragment
-            if self.context is not None:
-                self.context.record(keys[index], fragment, stage=self.spec.name)
-
-        rows = merge_rows(self.spec, points, fragments)
-        return SweepResult(
-            spec_name=self.spec.name,
-            headers=result_headers(self.spec, rows),
-            rows=rows,
-            scale=self.scale,
-            jobs=self.jobs,
-            points_total=len(points),
-            points_cached=cached_count,
-            elapsed_s=time.time() - start,
-            description=self.spec.description,
-        )
-
-
 def run_sweep(
     spec: ExperimentSpec,
     scale: float = 1.0,
     jobs: int = 1,
-    **kwargs: Any,
+    axes: Optional[Mapping[str, Sequence[Any]]] = None,
+    overrides: Optional[Mapping[str, Any]] = None,
+    executor: Optional[Executor] = None,
+    context: Optional[CampaignContext] = None,
 ) -> SweepResult:
-    """One-call convenience wrapper around :class:`SweepRunner`."""
-    return SweepRunner(spec, scale=scale, jobs=jobs, **kwargs).run()
+    """Expand ``spec`` and execute every point.
+
+    ``scale`` is forwarded to every point; ``axes`` restricts axes to
+    the given values and ``overrides`` is merged over defaults, axis
+    and variant values.  ``executor`` defaults to
+    ``make_executor(jobs)``; the artifact reports ``executor.jobs``.
+    Points already journaled in ``context`` are served from it, and
+    every newly finished point is journaled as it completes."""
+    start = time.time()
+    if executor is None:
+        executor = make_executor(jobs)
+    points = spec.expand(axes=axes, overrides=overrides)
+    fragments: List[Optional[Dict[str, Any]]] = [None] * len(points)
+
+    pending: List[Point] = []
+    keys: Dict[int, str] = {}
+    for point in points:
+        if context is not None:
+            keys[point.index] = point_key(spec.name, point, scale)
+            fragments[point.index] = context.get(keys[point.index])
+        if fragments[point.index] is None:
+            pending.append(point)
+
+    for index, fragment in executor.run(spec, pending, scale):
+        fragments[index] = fragment
+        if context is not None:
+            context.record(keys[index], fragment, stage=spec.name)
+
+    rows = merge_rows(spec, points, fragments)
+    return SweepResult(
+        spec_name=spec.name,
+        headers=result_headers(spec, rows, axes),
+        rows=rows,
+        scale=scale,
+        jobs=executor.jobs,
+        points_total=len(points),
+        points_cached=len(points) - len(pending),
+        elapsed_s=time.time() - start,
+        description=spec.description,
+    )

@@ -6,8 +6,8 @@ as data: a grid of *axes* (one row per grid point), a list of
 an optional *derived-config hook*, and a point function that runs one
 ``(grid point, variant)`` cell and returns its column fragment.
 
-The spec never runs anything itself — :class:`repro.experiments.runner.
-SweepRunner` expands it into :class:`Point` objects and executes them,
+The spec never runs anything itself — :func:`repro.experiments.runner.
+run_sweep` expands it into :class:`Point` objects and executes them,
 serially or across worker processes.
 """
 
@@ -26,7 +26,6 @@ from typing import (
 )
 
 from repro.common.errors import ConfigError
-from repro.common.rng import derive_seed
 
 
 @dataclass(frozen=True)
@@ -47,16 +46,15 @@ DEFAULT_VARIANT = Variant("default")
 
 @dataclass(frozen=True)
 class PointContext:
-    """Everything a point function may depend on.  ``seed`` is derived
-    deterministically from the spec seed and the point's position, so a
-    sweep is reproducible regardless of worker scheduling."""
+    """Everything a point function may depend on.  Randomness comes
+    from a ``seed`` entry in ``params`` (set it per run with overrides
+    or as an axis), so a point's result depends on nothing else."""
 
     spec_name: str
     params: Mapping[str, Any]
     axis_values: Mapping[str, Any]
     variant: str
     scale: float
-    seed: int
 
 
 @dataclass(frozen=True)
@@ -68,7 +66,6 @@ class Point:
     axis_values: Dict[str, Any]
     variant: Variant
     params: Dict[str, Any]
-    seed: int
 
 
 PointFn = Callable[[PointContext], Mapping[str, Any]]
@@ -101,7 +98,6 @@ class ExperimentSpec:
     finalize_row: Optional[Callable[[Dict[str, Any]], Dict[str, Any]]] = None
     headers: Sequence[str] = ()
     description: str = ""
-    base_seed: int = 1
     qa_checks: Sequence[Any] = ()
 
     def __post_init__(self) -> None:
@@ -114,22 +110,24 @@ class ExperimentSpec:
         self,
         axes: Optional[Mapping[str, Sequence[Any]]] = None,
         overrides: Optional[Mapping[str, Any]] = None,
-        base_seed: Optional[int] = None,
     ) -> List[Point]:
         """Expand the (possibly overridden) grid into executable points.
 
-        Expansion order is deterministic: axes vary outermost-first in
-        declaration order, variants innermost — matching the nesting of
-        the hand-rolled loops these specs replaced."""
+        ``axes`` restricts declared axes to the given values; naming a
+        default parameter instead (e.g. ``seed``) sweeps it as an extra,
+        innermost axis.  Expansion order is deterministic: axes vary
+        outermost-first in declaration order, variants innermost —
+        matching the nesting of the hand-rolled loops these specs
+        replaced."""
         grid = dict(self.axes)
         for axis, values in (axes or {}).items():
-            if axis not in grid:
+            if axis not in grid and axis not in self.defaults:
                 raise ConfigError(
-                    f"experiment {self.name!r} has no axis {axis!r}; "
-                    f"axes are {tuple(grid)}"
+                    f"experiment {self.name!r} has no axis or parameter "
+                    f"{axis!r}; axes are {tuple(grid)}, parameters "
+                    f"{tuple(self.defaults)}"
                 )
             grid[axis] = tuple(values)
-        seed_root = self.base_seed if base_seed is None else base_seed
 
         points: List[Point] = []
         for axis_values in _grid_product(grid):
@@ -142,15 +140,13 @@ class ExperimentSpec:
                     params.update(overrides)
                 if self.derive is not None:
                     params = dict(self.derive(params))
-                index = len(points)
                 points.append(
                     Point(
-                        index=index,
+                        index=len(points),
                         row_key=row_key,
                         axis_values=dict(axis_values),
                         variant=variant,
                         params=params,
-                        seed=derive_seed(seed_root, self.name, index, variant.name),
                     )
                 )
         return points

@@ -7,14 +7,15 @@ Usage::
     repro-harness fig7a                      # full-size serial run
     repro-harness fig8 --scale 0.3 --jobs 8  # faster, parallel sweep
     repro-harness all --scale 0.2 --json-out results.json
-    repro-harness fig7b --cache-dir .sweep-cache   # reuse finished points
     repro-harness fig7a --axes object_size=64,512  # axis subset
-    repro-harness fig10 --overrides seed=7 --base-seed 3
+    repro-harness fig10 --overrides seed=7         # another workload seed
+    repro-harness fig10 --axes seed=1,7,23         # one row per seed
     repro-harness all --campaign-dir runs/all      # journaled + resumable
 
-``all`` runs through the campaign layer (one stage per registered
-experiment), so ``--campaign-dir`` makes it resumable after a crash
-and ``repro-campaign report`` can render the results.
+Every run goes through the campaign layer (one stage per experiment),
+so ``--campaign-dir`` makes it resumable after a crash, a second run
+against the same directory reuses every finished point, and
+``repro-campaign report`` can render the results.
 
 (Also installed as ``sabres-experiments`` for backward compatibility.)
 """
@@ -23,28 +24,16 @@ from __future__ import annotations
 
 import argparse
 import ast
-import json
 import sys
 from typing import Any, Dict, Optional, Sequence, Tuple
 
+from repro.common.atomic import atomic_write_json
 from repro.common.errors import ConfigError
-from repro.experiments import SweepRunner, registry
+from repro.experiments import registry
 from repro.experiments.campaign import CampaignRunner, CampaignSpec, CampaignStage
 from repro.experiments.context import CampaignContext
+from repro.experiments.executors import make_executor
 from repro.harness.report import format_table
-
-
-def run_experiment(
-    name: str,
-    scale: float,
-    jobs: int = 1,
-    cache_dir: Optional[str] = None,
-) -> str:
-    """Run one registered experiment and render its result table."""
-    result = SweepRunner(
-        registry.get(name), scale=scale, jobs=jobs, cache_dir=cache_dir
-    ).run()
-    return result.table()
 
 
 def _parse_value(text: str) -> Any:
@@ -114,23 +103,12 @@ def _build_parser() -> argparse.ArgumentParser:
         help="also write results as a JSON artifact",
     )
     parser.add_argument(
-        "--cache-dir",
-        metavar="DIR",
-        default=None,
-        help="cache completed sweep points on disk (keyed by config hash)",
-    )
-    parser.add_argument(
-        "--base-seed",
-        type=int,
-        default=None,
-        help="override the spec's seed root for per-point seeding",
-    )
-    parser.add_argument(
         "--axes",
         action="append",
         default=[],
         metavar="NAME=V1,V2",
-        help="restrict an axis to the given values (repeatable)",
+        help="restrict an axis to the given values, or sweep a spec "
+        "parameter such as seed as an extra axis (repeatable)",
     )
     parser.add_argument(
         "--overrides",
@@ -145,8 +123,8 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar="DIR",
         default=None,
         help="journal completed points under a campaign directory, "
-        "making the run crash-resumable ('all' resumes stage by stage; "
-        "render with repro-campaign report)",
+        "making the run crash-resumable and letting later runs reuse "
+        "finished points (render with repro-campaign report)",
     )
     return parser
 
@@ -168,40 +146,27 @@ def main(argv=None) -> int:
             list(registry.names()) if args.experiment == "all" else [args.experiment]
         )
         # Single experiments and 'all' alike run as a campaign: one
-        # stage per spec, the chosen context deciding persistence.
+        # stage per spec, a campaign directory making it persistent.
         campaign = CampaignSpec(
             name="all" if args.experiment == "all" else args.experiment,
             scale=args.scale,
             stages=[
-                CampaignStage(
-                    experiment=name,
-                    axes=axes,
-                    overrides=overrides,
-                    base_seed=args.base_seed,
-                )
+                CampaignStage(experiment=name, axes=axes, overrides=overrides)
                 for name in names
             ],
         )
         context = None
         if args.campaign_dir:
             context = CampaignContext(args.campaign_dir)
-        elif args.cache_dir:
-            from repro.experiments.context import CacheContext, PointCache
-
-            context = CacheContext(PointCache(args.cache_dir))
-        from repro.experiments.executors import make_executor
-
         runner = CampaignRunner(
-            campaign,
-            executor=make_executor(jobs=args.jobs),
-            context=context,
+            campaign, executor=make_executor(args.jobs), context=context
         )
         artifacts = {}
         for stage_result in runner.iter_run():
             result = stage_result.result
             cached = (
                 f", {result.points_cached}/{result.points_total} points cached"
-                if (args.cache_dir or args.campaign_dir)
+                if context is not None
                 else ""
             )
             print(f"=== {stage_result.stage} ({result.elapsed_s:.1f}s{cached}) ===")
@@ -214,9 +179,7 @@ def main(argv=None) -> int:
 
     if args.json_out:
         payload = artifacts[names[0]] if len(names) == 1 else artifacts
-        with open(args.json_out, "w") as fh:
-            json.dump(payload, fh, indent=2)
-            fh.write("\n")
+        atomic_write_json(args.json_out, payload)
         print(f"wrote {args.json_out}")
     return 0
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Sequence, Tuple
 
-from repro.experiments import ExperimentSpec, SweepRunner, register
+from repro.experiments import ExperimentSpec, register, run_sweep
 from repro.harness.common import objects_for_memory_residency
 from repro.harness.report import scaled_duration
 from repro.objstore.farm import FarmConfig, run_farm
@@ -67,10 +67,10 @@ def run_fig1(
     scale: float = 1.0, sizes: Sequence[int] = FIG1_SIZES, seed: int = 1
 ) -> Tuple[Sequence[str], List[Dict]]:
     """One FaRM reader, baseline (per-cache-line versions) build."""
-    result = SweepRunner(
+    result = run_sweep(
         FIG1_SPEC,
         scale=scale,
         axes={"object_size": sizes},
         overrides={"seed": seed},
-    ).run()
+    )
     return HEADERS, result.rows

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Sequence, Tuple
 
-from repro.experiments import ExperimentSpec, SweepRunner, Variant, register
+from repro.experiments import ExperimentSpec, Variant, register, run_sweep
 from repro.harness.report import scaled_duration
 from repro.objstore.local import LocalReadConfig, run_local_reads
 from repro.workloads.generators import FIG1_SIZES
@@ -52,7 +52,6 @@ FIG10_SPEC = register(
         finalize_row=_fig10_finalize,
         headers=HEADERS,
         point_fn=_fig10_point,
-        base_seed=9,
     )
 )
 
@@ -63,10 +62,10 @@ def run_fig10(
     seed: int = 9,
     readers: int = 15,
 ) -> Tuple[Sequence[str], List[Dict]]:
-    result = SweepRunner(
+    result = run_sweep(
         FIG10_SPEC,
         scale=scale,
         axes={"object_size": sizes},
         overrides={"seed": seed, "readers": readers},
-    ).run()
+    )
     return HEADERS, result.rows

@@ -16,7 +16,7 @@ from __future__ import annotations
 from typing import Dict, List, Sequence, Tuple
 
 from repro.common.config import ClusterConfig, SabreMode
-from repro.experiments import ExperimentSpec, SweepRunner, Variant, register
+from repro.experiments import ExperimentSpec, Variant, register, run_sweep
 from repro.harness.common import objects_for_memory_residency
 from repro.harness.report import scaled_duration
 from repro.workloads.generators import FIG7_SIZES
@@ -66,7 +66,6 @@ FIG7A_SPEC = register(
         defaults={"seed": 5},
         headers=HEADERS_7A,
         point_fn=_fig7a_point,
-        base_seed=5,
     )
 )
 
@@ -101,7 +100,6 @@ FIG7B_SPEC = register(
         defaults={"seed": 5, "readers": 16, "window": 8},
         headers=HEADERS_7B,
         point_fn=_fig7b_point,
-        base_seed=5,
     )
 )
 
@@ -109,12 +107,12 @@ FIG7B_SPEC = register(
 def run_fig7a(
     scale: float = 1.0, sizes: Sequence[int] = FIG7_SIZES, seed: int = 5
 ) -> Tuple[Sequence[str], List[Dict]]:
-    result = SweepRunner(
+    result = run_sweep(
         FIG7A_SPEC,
         scale=scale,
         axes={"object_size": sizes},
         overrides={"seed": seed},
-    ).run()
+    )
     return HEADERS_7A, result.rows
 
 
@@ -125,10 +123,10 @@ def run_fig7b(
     readers: int = 16,
     window: int = 8,
 ) -> Tuple[Sequence[str], List[Dict]]:
-    result = SweepRunner(
+    result = run_sweep(
         FIG7B_SPEC,
         scale=scale,
         axes={"object_size": sizes},
         overrides={"seed": seed, "readers": readers, "window": window},
-    ).run()
+    )
     return HEADERS_7B, result.rows

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Sequence, Tuple
 
-from repro.experiments import ExperimentSpec, SweepRunner, Variant, register
+from repro.experiments import ExperimentSpec, Variant, register, run_sweep
 from repro.harness.common import objects_for_llc_residency
 from repro.harness.report import scaled_duration
 from repro.workloads.generators import FIG8_SIZES
@@ -82,7 +82,6 @@ FIG8_SPEC = register(
         finalize_row=_fig8_finalize,
         headers=HEADERS,
         point_fn=_fig8_point,
-        base_seed=11,
     )
 )
 
@@ -93,10 +92,10 @@ def run_fig8(
     writer_counts: Sequence[int] = WRITER_COUNTS,
     seed: int = 11,
 ) -> Tuple[Sequence[str], List[Dict]]:
-    result = SweepRunner(
+    result = run_sweep(
         FIG8_SPEC,
         scale=scale,
         axes={"object_size": sizes, "writers": writer_counts},
         overrides={"seed": seed},
-    ).run()
+    )
     return HEADERS, result.rows

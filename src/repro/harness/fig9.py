@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Sequence, Tuple
 
-from repro.experiments import ExperimentSpec, SweepRunner, Variant, register
+from repro.experiments import ExperimentSpec, Variant, register, run_sweep
 from repro.harness.common import objects_for_memory_residency
 from repro.harness.report import scaled_duration
 from repro.objstore.farm import FarmConfig, run_farm
@@ -67,7 +67,6 @@ FIG9A_SPEC = register(
         defaults={"seed": 3},
         headers=HEADERS_9A,
         point_fn=_fig9a_point,
-        base_seed=3,
     )
 )
 
@@ -102,7 +101,6 @@ FIG9B_SPEC = register(
         finalize_row=_fig9b_finalize,
         headers=HEADERS_9B,
         point_fn=_fig9b_point,
-        base_seed=3,
     )
 )
 
@@ -110,12 +108,12 @@ FIG9B_SPEC = register(
 def run_fig9a(
     scale: float = 1.0, sizes: Sequence[int] = FIG1_SIZES, seed: int = 3
 ) -> Tuple[Sequence[str], List[Dict]]:
-    result = SweepRunner(
+    result = run_sweep(
         FIG9A_SPEC,
         scale=scale,
         axes={"object_size": sizes},
         overrides={"seed": seed},
-    ).run()
+    )
     return HEADERS_9A, result.rows
 
 
@@ -125,10 +123,10 @@ def run_fig9b(
     seed: int = 3,
     readers: int = 15,
 ) -> Tuple[Sequence[str], List[Dict]]:
-    result = SweepRunner(
+    result = run_sweep(
         FIG9B_SPEC,
         scale=scale,
         axes={"object_size": sizes},
         overrides={"seed": seed, "readers": readers},
-    ).run()
+    )
     return HEADERS_9B, result.rows

@@ -16,6 +16,7 @@ import html
 import os
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
+from repro.common.atomic import atomic_write_text
 from repro.experiments.context import CampaignContext
 
 _CSS = """
@@ -237,8 +238,5 @@ def render_campaign(context: CampaignContext) -> str:
     )
     os.makedirs(context.report_dir, exist_ok=True)
     out = os.path.join(context.report_dir, "index.html")
-    tmp = out + ".tmp"
-    with open(tmp, "w") as fh:
-        fh.write(page)
-    os.replace(tmp, out)
+    atomic_write_text(out, page)
     return out

@@ -24,7 +24,6 @@ are fully accounted.
 from __future__ import annotations
 
 import json
-import os
 import platform
 import sys
 import time
@@ -32,6 +31,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterator, List, Optional, Sequence
 
+from repro.common.atomic import atomic_write_json
 from repro.common.errors import ConfigError
 from repro.perf.scenarios import SCENARIOS, ScenarioFn
 from repro.sim import engine as engine_mod
@@ -217,13 +217,7 @@ class BenchResult:
         return out
 
     def write_json(self, path: str) -> None:
-        # Write-then-rename: a suite killed mid-write must never leave
-        # a truncated BENCH artifact for the compare gate to choke on.
-        tmp = path + ".tmp"
-        with open(tmp, "w") as fh:
-            json.dump(self.to_json_dict(), fh, indent=2)
-            fh.write("\n")
-        os.replace(tmp, path)
+        atomic_write_json(path, self.to_json_dict())
 
 
 def _speedups(
@@ -269,7 +263,7 @@ def run_suite(
     committed pre-optimization reference); when given, the result embeds
     per-scenario speedup ratios against it.
 
-    ``journal`` is a :class:`repro.experiments.context.RunContext`
+    ``journal`` is a :class:`repro.experiments.context.CampaignContext`
     (typically a campaign directory's context): each scenario's timing
     is recorded as it lands, and already-journaled scenarios are served
     back instead of re-measured — so a killed suite resumes from the

@@ -511,7 +511,6 @@ FAILOVER_AVAILABILITY_SPEC = register(
         },
         headers=AVAILABILITY_HEADERS,
         point_fn=_availability_point,
-        base_seed=29,
     )
 )
 
@@ -621,7 +620,6 @@ GRAY_AVAILABILITY_SPEC = register(
         defaults={**_FAULT_SPEC_DEFAULTS, "seed": 37},
         headers=FAULT_HEADERS,
         point_fn=lambda ctx: _fault_point(ctx, "gray"),
-        base_seed=37,
     )
 )
 
@@ -644,7 +642,6 @@ PARTITION_AVAILABILITY_SPEC = register(
         },
         headers=FAULT_HEADERS,
         point_fn=lambda ctx: _fault_point(ctx, "partition"),
-        base_seed=41,
     )
 )
 
@@ -676,6 +673,5 @@ FAILOVER_ATOMICITY_SPEC = register(
         },
         headers=ATOMICITY_HEADERS,
         point_fn=_atomicity_point,
-        base_seed=31,
     )
 )

@@ -334,7 +334,6 @@ TXN_ABORT_RATE_SPEC = register(
         },
         headers=ABORT_HEADERS,
         point_fn=_abort_rate_point,
-        base_seed=17,
     )
 )
 
@@ -385,6 +384,5 @@ TXN_SHARD_SCALING_SPEC = register(
         derive=_derive_scaling,
         headers=SCALING_HEADERS,
         point_fn=_txn_scaling_point,
-        base_seed=19,
     )
 )

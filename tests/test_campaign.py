@@ -19,22 +19,21 @@ from pathlib import Path
 import pytest
 
 from repro.common.errors import ConfigError
+from repro.common.rng import make_rng
 from repro.experiments import (
     CampaignContext,
     CampaignRunner,
     CampaignSpec,
     CampaignStage,
     ExperimentSpec,
-    MemoryContext,
-    PointCache,
     PoolExecutor,
     QaCheck,
     SerialExecutor,
     SubprocessExecutor,
-    SweepRunner,
     Variant,
     make_executor,
     point_key,
+    run_sweep,
 )
 from repro.experiments import campaign_cli, qa
 from repro.experiments.campaign import campaign_status, load_campaign
@@ -48,15 +47,13 @@ TESTS_DIR = Path(__file__).resolve().parent
 
 
 def _mix_point(ctx):
-    # Deterministic function of params + the per-point seed, plus one
-    # draw from the global RNG to prove per-point seeding holds under
-    # every executor.
-    import random
-
-    noise = random.random()
+    # Deterministic function of the params: an exact integer column plus
+    # a float drawn from a params-seeded RNG, so every executor must
+    # ship params and values across faithfully to match.
+    noise = make_rng(ctx.params["x"], ctx.variant).random()
     return {
         f"{ctx.variant}_value": ctx.params["x"] * ctx.params["factor"],
-        f"{ctx.variant}_noise": round(noise + ctx.seed % 7, 6),
+        f"{ctx.variant}_noise": round(noise, 6),
     }
 
 
@@ -71,6 +68,8 @@ MIX_SPEC = ExperimentSpec(
 
 #: module:attr reference workers can re-resolve (tests dir on PYTHONPATH).
 MIX_REF = "test_campaign:MIX_SPEC"
+
+WORKER_COMMAND = "{python} -m repro.experiments.worker"
 
 _WORKER_ENV = {
     "PYTHONPATH": os.pathsep.join([str(REPO_ROOT / "src"), str(TESTS_DIR)])
@@ -87,12 +86,14 @@ def _mix_campaign(**stage_kwargs):
 
 class TestExecutors:
     def test_serial_pool_and_workers_byte_identical(self):
-        serial = SweepRunner(MIX_SPEC, executor=SerialExecutor()).run()
-        pool = SweepRunner(MIX_SPEC, executor=PoolExecutor(3)).run()
-        sub = SweepRunner(
+        serial = run_sweep(MIX_SPEC, executor=SerialExecutor())
+        pool = run_sweep(MIX_SPEC, executor=PoolExecutor(3))
+        sub = run_sweep(
             MIX_SPEC,
-            executor=SubprocessExecutor(workers=2, ref=MIX_REF, env=_WORKER_ENV),
-        ).run()
+            executor=SubprocessExecutor(
+                2, WORKER_COMMAND, ref=MIX_REF, env=_WORKER_ENV
+            ),
+        )
         assert repr(serial.rows) == repr(pool.rows) == repr(sub.rows)
 
     def test_subprocess_executor_value_fidelity(self):
@@ -102,37 +103,39 @@ class TestExecutors:
             axes={"x": (1,)},
             point_fn=lambda ctx: {"t": (1, 2), "i": 3, "f": 3.0},
         )
-        sub = SweepRunner(
+        sub = run_sweep(
             spec,
             executor=SubprocessExecutor(
-                workers=1, ref="test_campaign:_TYPES_SPEC", env=_WORKER_ENV
+                1, WORKER_COMMAND, ref="test_campaign:_TYPES_SPEC", env=_WORKER_ENV
             ),
-        ).run()
+        )
         row = sub.rows[0]
         assert row["t"] == (1, 2) and isinstance(row["t"], tuple)
         assert isinstance(row["i"], int) and isinstance(row["f"], float)
 
     def test_dead_worker_surfaces_as_config_error(self):
         executor = SubprocessExecutor(
-            workers=1,
+            1,
             command="{python} -c 'import sys; sys.exit(3)'",
             ref=MIX_REF,
             env=_WORKER_ENV,
         )
         with pytest.raises(ConfigError):
-            SweepRunner(MIX_SPEC, executor=executor).run()
+            run_sweep(MIX_SPEC, executor=executor)
 
     def test_make_executor_factory(self):
-        assert isinstance(make_executor("serial"), SerialExecutor)
-        assert isinstance(make_executor("serial", jobs=4), PoolExecutor)
-        assert isinstance(make_executor("pool", jobs=2), PoolExecutor)
-        assert isinstance(make_executor("workers", workers=3), SubprocessExecutor)
+        assert isinstance(make_executor(), SerialExecutor)
+        assert make_executor(1).jobs == 1
+        pool = make_executor(4)
+        assert isinstance(pool, PoolExecutor) and pool.jobs == 4
+        workers = make_executor(3, WORKER_COMMAND)
+        assert isinstance(workers, SubprocessExecutor)
+        assert (workers.jobs, workers.command) == (3, WORKER_COMMAND)
+        assert isinstance(make_executor(1, WORKER_COMMAND), SubprocessExecutor)
         with pytest.raises(ConfigError):
-            make_executor("queue")
+            make_executor(0)
         with pytest.raises(ConfigError):
-            make_executor("serial", jobs=0)
-        with pytest.raises(ConfigError):
-            make_executor("workers", workers=0)
+            make_executor(0, WORKER_COMMAND)
 
     def test_resolve_spec_registry_and_module(self):
         assert resolve_spec(MIX_REF) is MIX_SPEC
@@ -238,20 +241,29 @@ class TestJournal:
 
         # A campaign over the damaged journal completes with correct rows.
         result = CampaignRunner(_mix_campaign(), context=reopened).run()
-        clean = CampaignRunner(_mix_campaign(), context=MemoryContext()).run()
+        clean = CampaignRunner(_mix_campaign()).run()
         assert repr(result.stages[0].result.rows) == repr(clean.stages[0].result.rows)
         assert result.stages[0].journal_hits == 1
 
-    def test_point_cache_corruption_recomputes(self, tmp_path):
-        cache_dir = tmp_path / "cache"
-        first = SweepRunner(MIX_SPEC, cache_dir=str(cache_dir)).run()
-        entries = sorted(cache_dir.glob("*.json"))
-        assert entries
-        entries[0].write_text('{"truncated": ')  # invalid JSON
-        entries[1].write_text("17")  # valid JSON, not a fragment dict
-        again = SweepRunner(MIX_SPEC, cache_dir=str(cache_dir)).run()
-        assert repr(first.rows) == repr(again.rows)
-        assert again.points_cached == len(entries) - 2
+    def test_derive_dropping_an_axis_keeps_keys_distinct(self, tmp_path):
+        # The derive hook folds axis "x" into "y" and drops it, so two
+        # points differ only in their axis values; they must not share
+        # a journal entry.
+        spec = ExperimentSpec(
+            name="campaign_dropped_axis",
+            axes={"x": (1, 2, 3)},
+            derive=lambda p: {"y": p.pop("x") % 2},
+            point_fn=lambda ctx: {"v": ctx.axis_values["x"] * 10},
+        )
+        points = spec.expand()
+        assert points[0].params == points[2].params
+        assert len({point_key(spec.name, p, 1.0) for p in points}) == 3
+        root = str(tmp_path / "d")
+        first = run_sweep(spec, context=CampaignContext(root))
+        second = run_sweep(spec, context=CampaignContext(root))
+        expected = [{"x": 1, "v": 10}, {"x": 2, "v": 20}, {"x": 3, "v": 30}]
+        assert first.rows == second.rows == expected
+        assert second.points_cached == 3
 
     def test_unserializable_fragment_skips_journal(self, tmp_path):
         spec = ExperimentSpec(
@@ -260,7 +272,7 @@ class TestJournal:
             point_fn=lambda ctx: {"obj": object()},
         )
         context = CampaignContext(str(tmp_path / "u"))
-        result = SweepRunner(spec, context=context).run()
+        result = run_sweep(spec, context=context)
         assert result.rows[0]["x"] == 1
         context.close()
         reopened = CampaignContext(str(tmp_path / "u"))
@@ -268,7 +280,7 @@ class TestJournal:
 
 
 class TestMergeAndArtifacts:
-    def test_empty_fragment_is_not_missing(self):
+    def test_empty_fragment_is_not_missing(self, tmp_path):
         points = MIX_SPEC.expand(axes={"x": (1,)})
         rows_none = merge_rows(MIX_SPEC, points, [None, None])
         rows_empty = merge_rows(MIX_SPEC, points, [{}, {}])
@@ -279,14 +291,14 @@ class TestMergeAndArtifacts:
             axes={"x": (1, 2)},
             point_fn=lambda ctx: {},
         )
-        context = MemoryContext()
-        SweepRunner(spec, context=context).run()
-        second = SweepRunner(spec, context=context).run()
+        context = CampaignContext(str(tmp_path / "e"))
+        run_sweep(spec, context=context)
+        second = run_sweep(spec, context=context)
         assert second.points_cached == 2
 
     def test_write_json_is_atomic(self, tmp_path):
         path = tmp_path / "out.json"
-        result = SweepRunner(MIX_SPEC).run()
+        result = run_sweep(MIX_SPEC)
         result.write_json(str(path))
         original = path.read_bytes()
         json.loads(original)
@@ -294,11 +306,26 @@ class TestMergeAndArtifacts:
 
         # A failed re-write (unserializable row) must leave the
         # original artifact untouched, not truncated.
-        bad = SweepRunner(MIX_SPEC).run()
+        bad = run_sweep(MIX_SPEC)
         bad.rows[0]["poison"] = object()
         with pytest.raises(TypeError):
             bad.write_json(str(path))
         assert path.read_bytes() == original
+
+        # repro-harness --json-out goes through the same writer.
+        from repro.experiments import registry
+        from repro.harness.cli import main as harness_main
+
+        registry.register(_POISON_SPEC)
+        try:
+            with pytest.raises(TypeError):
+                harness_main(["campaign_poison", "--json-out", str(path)])
+        finally:
+            registry.unregister("campaign_poison")
+        assert path.read_bytes() == original
+        assert harness_main(["table1", "--json-out", str(path)]) == 0
+        assert json.loads(path.read_bytes())["experiment"] == "table1"
+        assert not (tmp_path / "out.json.tmp").exists()
 
 
 class TestQa:
@@ -394,6 +421,13 @@ class TestQa:
         assert qa_payload["verdict"] == "fail"
 
 
+_POISON_SPEC = ExperimentSpec(
+    name="campaign_poison",
+    axes={"x": (1,)},
+    point_fn=lambda ctx: {"obj": object()},
+)
+
+
 _QA_SPEC = ExperimentSpec(
     name="campaign_qa",
     axes={"x": (1, 2)},
@@ -414,7 +448,6 @@ class TestCampaignSpec:
         campaign = _mix_campaign(
             axes={"x": (1, 2)},
             overrides={"factor": 5},
-            base_seed=9,
             scale=0.25,
             qa=(QaCheck("a_value", hi=100),),
         )
@@ -437,6 +470,66 @@ class TestCampaignSpec:
             load_campaign(str(bad))
         with pytest.raises(ConfigError):
             load_campaign(str(tmp_path / "missing.json"))
+
+    @pytest.mark.parametrize(
+        "request_obj, needle",
+        [
+            ({"campaign": "m", "stages": [{"name": "s"}]}, "'experiment'"),
+            ({"campaign": "m", "stages": ["fig10"]}, "str"),
+            ({"campaign": "m", "stages": {"experiment": "fig10"}}, "dict"),
+            ([{"experiment": "fig10"}], "list"),
+            (
+                {"campaign": "m", "stages": [{"experiment": "fig10", "overide": {}}]},
+                "'overide'",
+            ),
+            (
+                {"campaign": "m", "stages": [{"experiment": "fig10", "base_seed": 3}]},
+                "'base_seed'",
+            ),
+            ({"campaign": "m", "stges": []}, "'stges'"),
+            ({"campaign": "m", "stages": [{"experiment": 7}]}, "7"),
+            (
+                {"campaign": "m", "stages": [{"experiment": "fig10", "axes": [1]}]},
+                "'axes' must be an object",
+            ),
+            (
+                {"campaign": "m", "stages": [{"experiment": "fig10", "qa": [{"hi": 1}]}]},
+                "'column'",
+            ),
+            (
+                {
+                    "campaign": "m",
+                    "stages": [
+                        {"experiment": "fig10", "qa": [{"column": "c", "max": 1}]}
+                    ],
+                },
+                "'max'",
+            ),
+        ],
+        ids=[
+            "no-experiment",
+            "stage-is-string",
+            "stages-is-object",
+            "top-level-list",
+            "unknown-stage-key",
+            "removed-seed-root",
+            "unknown-request-key",
+            "experiment-not-string",
+            "axes-not-object",
+            "qa-no-column",
+            "unknown-qa-key",
+        ],
+    )
+    def test_malformed_request_rejected(self, tmp_path, capsys, request_obj, needle):
+        path = tmp_path / "req.json"
+        path.write_text(json.dumps(request_obj))
+        with pytest.raises(ConfigError, match=needle):
+            load_campaign(str(path))
+        root = str(tmp_path / "camp")
+        assert campaign_cli.main(["run", str(path), "--dir", root]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and needle in err
+        assert not os.path.exists(os.path.join(root, "journal.jsonl"))
 
     def test_status_counts_points(self, tmp_path):
         context = CampaignContext(str(tmp_path / "s"))
@@ -525,6 +618,21 @@ class TestCampaignCli:
         assert campaign_cli.main(["resume", root]) == 0
         out = capsys.readouterr().out
         assert "6/6 from journal" in out
+
+    def test_worker_command_rows_match_serial(self, tmp_path, capsys, monkeypatch):
+        # Workers re-resolve MIX_REF by module path, so they need the
+        # tests directory on PYTHONPATH.
+        monkeypatch.setenv("PYTHONPATH", _WORKER_ENV["PYTHONPATH"])
+        request = self._request(tmp_path)
+        serial, workers = tmp_path / "serial", tmp_path / "workers"
+        assert campaign_cli.main(["run", request, "--dir", str(serial)]) == 0
+        argv = ["run", request, "--dir", str(workers), "--jobs", "2"]
+        assert campaign_cli.main([*argv, "--worker-command", WORKER_COMMAND]) == 0
+        capsys.readouterr()
+        rows = Path("artifacts", "mix.rows.json")
+        assert (serial / rows).read_bytes() == (workers / rows).read_bytes()
+        meta = json.loads((workers / "artifacts" / "mix.meta.json").read_text())
+        assert meta["executor"] == "workers:2"
 
     def test_qa_gate_exit_code(self, tmp_path, capsys):
         path = tmp_path / "req.json"

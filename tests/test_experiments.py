@@ -1,6 +1,6 @@
 """Tests for the declarative experiment framework: spec expansion,
-sweep execution (serial, parallel, cached), the registry, and the CLI
-surface built on top of it."""
+sweep execution (serial, parallel, journaled), the registry, and the
+CLI surface built on top of it."""
 
 import json
 
@@ -8,8 +8,8 @@ import pytest
 
 from repro.common.errors import ConfigError
 from repro.experiments import (
+    CampaignContext,
     ExperimentSpec,
-    SweepRunner,
     Variant,
     registry,
     run_sweep,
@@ -46,15 +46,25 @@ class TestSpecExpansion:
         with pytest.raises(ConfigError):
             ECHO_SPEC.expand(axes={"nope": (1,)})
 
+    def test_default_parameter_swept_as_innermost_axis(self):
+        spec = ExperimentSpec(
+            name="seeded",
+            axes={"x": (1, 2)},
+            defaults={"seed": 5},
+            headers=("x", "y"),
+            point_fn=lambda ctx: {"y": ctx.params["x"] * 10 + ctx.params["seed"]},
+        )
+        points = spec.expand(axes={"seed": (1, 7)})
+        assert [(p.params["x"], p.params["seed"]) for p in points] == [
+            (1, 1), (1, 7), (2, 1), (2, 7),
+        ]
+        result = run_sweep(spec, axes={"seed": (1, 7)})
+        assert result.headers == ("seed", "x", "y")
+        assert [row["y"] for row in result.rows] == [11, 17, 21, 27]
+
     def test_overrides_win_over_variant_params(self):
         points = ECHO_SPEC.expand(overrides={"factor": 2})
         assert all(p.params["factor"] == 2 for p in points)
-
-    def test_per_point_seeds_distinct_and_stable(self):
-        a = ECHO_SPEC.expand()
-        b = ECHO_SPEC.expand()
-        assert [p.seed for p in a] == [p.seed for p in b]
-        assert len({p.seed for p in a}) == len(a)
 
     def test_derive_hook_shapes_params(self):
         spec = ExperimentSpec(
@@ -63,13 +73,13 @@ class TestSpecExpansion:
             derive=lambda p: {**p, "doubled": p["x"] * 2},
             point_fn=lambda ctx: {"y": ctx.params["doubled"]},
         )
-        rows = SweepRunner(spec).run().rows
+        rows = run_sweep(spec).rows
         assert rows == [{"x": 2, "y": 4}, {"x": 4, "y": 8}]
 
 
 class TestSweepRunner:
     def test_rows_merge_variants(self):
-        result = SweepRunner(ECHO_SPEC).run()
+        result = run_sweep(ECHO_SPEC)
         assert result.headers == ("x", "a_value", "b_value")
         assert result.rows == [
             {"x": 1, "a_value": 10, "b_value": 100},
@@ -86,31 +96,31 @@ class TestSweepRunner:
             finalize_row=lambda row: {**row, "sum": row["a_value"] + row["b_value"]},
             point_fn=_echo_point,
         )
-        rows = SweepRunner(spec).run().rows
+        rows = run_sweep(spec).rows
         assert rows[0]["sum"] == 110
         assert rows[1]["sum"] == 220
 
     def test_parallel_matches_serial(self):
-        serial = SweepRunner(ECHO_SPEC).run()
-        parallel = SweepRunner(ECHO_SPEC, jobs=3).run()
+        serial = run_sweep(ECHO_SPEC)
+        parallel = run_sweep(ECHO_SPEC, jobs=3)
         assert serial.rows == parallel.rows
 
     def test_jobs_validation(self):
         with pytest.raises(ConfigError):
-            SweepRunner(ECHO_SPEC, jobs=0)
+            run_sweep(ECHO_SPEC, jobs=0)
 
     def test_cache_round_trip(self, tmp_path):
-        cache = str(tmp_path / "cache")
-        first = SweepRunner(ECHO_SPEC, cache_dir=cache).run()
-        second = SweepRunner(ECHO_SPEC, cache_dir=cache).run()
+        root = str(tmp_path / "camp")
+        first = run_sweep(ECHO_SPEC, context=CampaignContext(root))
+        second = run_sweep(ECHO_SPEC, context=CampaignContext(root))
         assert first.points_cached == 0
         assert second.points_cached == second.points_total == 6
         assert first.rows == second.rows
 
     def test_cache_key_depends_on_scale(self, tmp_path):
-        cache = str(tmp_path / "cache")
-        SweepRunner(ECHO_SPEC, scale=1.0, cache_dir=cache).run()
-        other = SweepRunner(ECHO_SPEC, scale=0.5, cache_dir=cache).run()
+        context = CampaignContext(str(tmp_path / "camp"))
+        run_sweep(ECHO_SPEC, scale=1.0, context=context)
+        other = run_sweep(ECHO_SPEC, scale=0.5, context=context)
         assert other.points_cached == 0
 
     def test_json_artifact(self, tmp_path):
@@ -150,18 +160,18 @@ class TestRegistry:
 class TestFigureSpecs:
     def test_fig7a_parallel_sweep_byte_identical_to_serial(self):
         axes = {"object_size": (64, 512)}
-        serial = SweepRunner(FIG7A_SPEC, scale=0.1, axes=axes).run()
-        parallel = SweepRunner(FIG7A_SPEC, scale=0.1, axes=axes, jobs=2).run()
+        serial = run_sweep(FIG7A_SPEC, scale=0.1, axes=axes)
+        parallel = run_sweep(FIG7A_SPEC, scale=0.1, axes=axes, jobs=2)
         assert repr(serial.rows) == repr(parallel.rows)
 
     def test_wrapper_matches_direct_sweep(self):
         headers, rows = run_fig7a(scale=0.1, sizes=(64, 512))
-        direct = SweepRunner(
+        direct = run_sweep(
             FIG7A_SPEC,
             scale=0.1,
             axes={"object_size": (64, 512)},
             overrides={"seed": 5},
-        ).run()
+        )
         assert tuple(headers) == direct.headers
         assert repr(rows) == repr(direct.rows)
 
@@ -184,9 +194,9 @@ class TestCliExtensions:
         assert payload["jobs"] == 2
         assert {"object_size", "speedup"} <= set(payload["rows"][0])
 
-    def test_cache_dir_flag(self, tmp_path, capsys):
-        cache = str(tmp_path / "cache")
-        assert main(["table2", "--cache-dir", cache]) == 0
-        assert main(["table2", "--cache-dir", cache]) == 0
-        out = capsys.readouterr().out
-        assert "9/9 points cached" in out
+    def test_campaign_dir_flag_reuses_points(self, tmp_path, capsys):
+        root = str(tmp_path / "camp")
+        assert main(["table2", "--campaign-dir", root]) == 0
+        assert "0/9 points cached" in capsys.readouterr().out
+        assert main(["table2", "--campaign-dir", root]) == 0
+        assert "9/9 points cached" in capsys.readouterr().out

@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from repro.harness.cli import main, run_experiment
+from repro.harness.cli import main
 from repro.harness.fig1 import run_fig1
 from repro.harness.fig7 import run_fig7a, run_fig7b
 from repro.harness.fig8 import run_fig8
@@ -148,9 +148,11 @@ class TestFig10:
 
 
 class TestCli:
-    def test_run_experiment_table(self):
-        assert "SABRes" in run_experiment("table1", scale=1.0)
-        assert "DDR4" in run_experiment("table2", scale=1.0)
+    def test_cli_renders_tables(self, capsys):
+        assert main(["table1"]) == 0
+        assert "SABRes" in capsys.readouterr().out
+        assert main(["table2"]) == 0
+        assert "DDR4" in capsys.readouterr().out
 
     def test_cli_main_runs_figure(self, capsys):
         assert main(["fig10", "--scale", "0.2"]) == 0
@@ -178,7 +180,7 @@ class TestCli:
         with pytest.raises(ConfigError):
             parse_overrides(["alsobad"])
 
-    def test_cli_axes_overrides_base_seed(self, capsys):
+    def test_cli_axes_overrides(self, capsys):
         assert (
             main(
                 [
@@ -189,8 +191,6 @@ class TestCli:
                     "object_size=128,512",
                     "--overrides",
                     "seed=9",
-                    "--base-seed",
-                    "3",
                 ]
             )
             == 0

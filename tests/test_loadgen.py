@@ -7,7 +7,8 @@ import asyncio
 import pytest
 
 from repro.common.errors import ConfigError
-from repro.experiments import SweepRunner, registry
+from repro.experiments import registry
+from repro.experiments import run_sweep as run_spec_sweep
 from repro.loadgen.client import run_open_loop
 from repro.loadgen.sweep import (
     SERVE_LOAD_SWEEP_SPEC,
@@ -272,12 +273,12 @@ class TestServeLoadSweepSpec:
         fast; every point is a pure function of config + seed, so the
         rows must match byte for byte."""
         axes = {"workload": ("C",)}
-        serial = SweepRunner(
+        serial = run_spec_sweep(
             SERVE_LOAD_SWEEP_SPEC, scale=0.1, axes=axes
-        ).run()
-        parallel = SweepRunner(
+        )
+        parallel = run_spec_sweep(
             SERVE_LOAD_SWEEP_SPEC, scale=0.1, axes=axes, jobs=2
-        ).run()
+        )
         assert repr(serial.rows) == repr(parallel.rows)
         row = serial.rows[0]
         assert row["sabre_peak_qps"] > 0
@@ -287,8 +288,8 @@ class TestServeLoadSweepSpec:
     def test_qa_checks_pass_on_scaled_run(self):
         from repro.experiments.qa import evaluate
 
-        rows = SweepRunner(
+        rows = run_spec_sweep(
             SERVE_LOAD_SWEEP_SPEC, scale=0.1, axes={"workload": ("B",)}
-        ).run().rows
+        ).rows
         report = evaluate("sweep", SERVE_LOAD_SWEEP_SPEC.qa_checks, rows)
         assert report.verdict == "pass"

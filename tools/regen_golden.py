@@ -4,8 +4,8 @@
 ``tests/golden/artifact_digests.json`` holds sha256 digests of
 
 * every registered experiment's sweep artifact at ``SCALE`` for each
-  seed in ``SEEDS`` (used as the sweep's base seed and as the workload
-  seed, see :func:`artifact_digest`):
+  seed in ``SEEDS`` (used as the workload seed, see
+  :func:`artifact_digest`):
   ``json.dumps(to_json_dict(), sort_keys=True)`` with the wall-clock
   ``elapsed_s`` field masked, and
 * the fingerprints of four randomized ``fuzz_round`` interleavings
@@ -66,13 +66,11 @@ def _sha256(payload) -> str:
 def artifact_digest(spec_name: str, seed: int) -> str:
     """Digest of one spec's sweep artifact, wall clock masked.
 
-    ``base_seed`` only seeds each point's global RNG; the workloads draw
-    from their own ``seed`` parameter.  So a spec that has one gets it
-    overridden too, or all seeds would replay the same run.  Specs
-    without one are seed-free: their three digests agree."""
+    A spec with a ``seed`` parameter runs with it overridden; specs
+    without one are seed-free, so their three digests agree."""
     spec = registry.get(spec_name)
     overrides = {"seed": seed} if "seed" in spec.defaults else None
-    result = run_sweep(spec, scale=SCALE, base_seed=seed, overrides=overrides)
+    result = run_sweep(spec, scale=SCALE, overrides=overrides)
     payload = result.to_json_dict()
     payload["elapsed_s"] = 0.0
     return _sha256(payload)
